@@ -9,6 +9,7 @@ to [-1, 1].
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -146,9 +147,13 @@ def mel_to_hz(m):
     return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache
 def mel_filterbank(mel_bins: int, fft_size: int, sample_rate: int = SAMPLE_RATE) -> np.ndarray:
     """Triangular filters [mel_bins, fft_size//2 + 1], peaks at 1, spanning
-    0 Hz to Nyquist on the mel scale."""
+    0 Hz to Nyquist on the mel scale.
+
+    Built once per argument triple; the cached array is read-only, so no
+    caller can change the bank that every later call receives."""
     n_freqs = fft_size // 2 + 1
     freqs = np.arange(n_freqs) * sample_rate / fft_size
     edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2), mel_bins + 2))
@@ -158,6 +163,7 @@ def mel_filterbank(mel_bins: int, fft_size: int, sample_rate: int = SAMPLE_RATE)
         rising = (freqs - lo) / max(center - lo, 1e-12)
         falling = (hi - freqs) / max(hi - center, 1e-12)
         bank[b] = np.clip(np.minimum(rising, falling), 0.0, None)
+    bank.setflags(write=False)
     return bank
 
 

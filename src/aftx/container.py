@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -67,18 +68,29 @@ def load_container(path) -> list[Entry]:
         manifest = json.loads(blob[9:9 + mlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable manifest") from exc
-    payload = blob[9 + mlen:]
+    if not isinstance(manifest, list):
+        raise FormatError(f"{path}: manifest is not a list of entries")
+    start = 9 + mlen
     entries: list[Entry] = []
     for item in manifest:
-        shape = tuple(item["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = item["offset"]
-        end = start + 8 * count
-        if end > len(payload):
-            raise FormatError(f"{path}: payload truncated for entry {item['name']!r}")
-        arr = np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64).reshape(shape)
-        entries.append((item["name"], arr, bool(item["trainable"])))
+        try:
+            name, shape = item["name"], tuple(item["shape"])
+            offset, trainable = item["offset"], item["trainable"]
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: manifest entry {item!r} lacks a field") from exc
+        if not all(_is_count(n) for n in shape) or not _is_count(offset):
+            raise FormatError(f"{path}: entry {name!r} has a bad shape {shape} or offset {offset!r}")
+        count = math.prod(shape)
+        if start + offset + 8 * count > len(blob):
+            raise FormatError(f"{path}: payload truncated for entry {name!r}")
+        # astype copies, so no entry keeps the whole file alive
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start + offset)
+        entries.append((name, arr.astype(np.float64).reshape(shape), bool(trainable)))
     return entries
+
+
+def _is_count(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
 def sidecar_path(path) -> Path:

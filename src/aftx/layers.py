@@ -80,7 +80,8 @@ def multi_head_attention(
     head_dim = dim // num_heads
     frames = x.shape[0]
 
-    q = linear(x, wq, bq)
+    # scaling Q [frames, dim] equals scaling the [heads, frames, frames] scores
+    q = linear(x, wq, bq) * (1.0 / math.sqrt(head_dim))
     k = linear(x, wk, bk)
     v = linear(x, wv, bv)
 
@@ -88,8 +89,7 @@ def multi_head_attention(
         return transpose(reshape(t, (frames, num_heads, head_dim)), (1, 0, 2))
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / math.sqrt(head_dim))
-    attn = softmax(scores, axis=-1)
+    attn = softmax(matmul(qh, transpose(kh, (0, 2, 1))), axis=-1)
     ctx = matmul(attn, vh)
     merged = reshape(transpose(ctx, (1, 0, 2)), (frames, dim))
     out = linear(merged, wo, bo)

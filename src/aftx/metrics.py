@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import UndefinedCorrelation, UndefinedRecall
+from .errors import LabelError, ShapeError, UndefinedCorrelation, UndefinedRecall
 from .corpus import TRAITS
 
 
@@ -24,14 +24,16 @@ class ConfusionMatrix:
 
     @classmethod
     def from_predictions(cls, y_true, y_pred) -> "ConfusionMatrix":
-        y_true = np.asarray(y_true, dtype=np.int64)
-        y_pred = np.asarray(y_pred, dtype=np.int64)
-        if y_true.shape != y_pred.shape:
-            raise ValueError("y_true and y_pred must have the same length")
-        counts = np.zeros((2, 2), dtype=np.int64)
-        for t, p in zip(y_true, y_pred):
-            counts[t, p] += 1
-        return cls(counts=counts)
+        """Count 1-d label vectors; every label must be 0 or 1."""
+        y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+        if y_true.ndim != 1 or y_true.shape != y_pred.shape:
+            raise ShapeError(f"y_true and y_pred must be 1-d vectors of the same length, "
+                             f"got shapes {y_true.shape} and {y_pred.shape}")
+        for name, y in (("y_true", y_true), ("y_pred", y_pred)):
+            if not np.isin(y, (0, 1)).all():
+                raise LabelError(f"{name} holds labels other than 0 and 1")
+        cells = 2 * y_true.astype(np.int64) + y_pred.astype(np.int64)
+        return cls(counts=np.bincount(cells, minlength=4).reshape(2, 2))
 
     @property
     def total(self) -> int:

@@ -3,9 +3,10 @@
 The engine is a plain tape: every operation that involves a tensor with
 ``requires_grad`` records its parents and a closure that maps the output
 gradient to parent gradients.  ``backward`` walks the tape in reverse
-topological order.  Only the operators the bundled speech models need are
-implemented; there is no GPU path and no broadcasting beyond what bias
-addition requires.
+topological order.  A ``grad_fn`` returns ``None`` for a parent that does
+not require grad, and skips computing that gradient.  Only the operators
+the bundled speech models need are implemented; there is no GPU path and
+no broadcasting beyond what bias addition requires.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cannot add {a.shape} and {b.shape}") from exc
 
     def grad_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _from_op(data, (a, b), grad_fn)
 
@@ -150,7 +152,8 @@ def mul(a: Tensor, b) -> Tensor:
         raise ShapeError(f"cannot multiply {a.shape} and {b.shape}") from exc
 
     def grad_fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _from_op(data, (a, b), grad_fn)
 
@@ -167,8 +170,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def grad_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
         return ga, gb
 
     return _from_op(data, (a, b), grad_fn)
@@ -295,29 +298,38 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, weights expect {w_cin}")
     if length < window:
         raise InputTooShort(f"conv1d input length {length} < window {window}")
+    if stride < 1:
+        raise ShapeError(f"conv1d stride must be at least 1, got {stride}")
     if b is not None:
         b = as_tensor(b)
         if b.shape != (c_out,):
             raise ShapeError(f"conv1d bias must have shape ({c_out},), got {b.shape}")
 
     out_length = (length - window) // stride + 1
-    # [c_in, out_length, window] view, no copy
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, window, axis=1)[:, ::stride, :]
-    data = np.tensordot(w.data, windows, axes=([1, 2], [0, 2]))
+    # [c_in, window, out_length] view, no copy; reshaping it to the
+    # [c_in*window, out_length] column matrix copies, so the closure keeps
+    # only the view and rebuilds the columns when it needs them
+    windows = np.lib.stride_tricks.sliding_window_view(
+        x.data, window, axis=1)[:, ::stride, :].transpose(0, 2, 1)
+    w2 = w.data.reshape(c_out, c_in * window)
+    data = w2 @ windows.reshape(c_in * window, out_length)
     if b is not None:
         data = data + b.data[:, None]
 
     def grad_fn(g):
         # g: [c_out, out_length]
-        gw = np.tensordot(g, windows, axes=([1], [1]))  # [c_out, c_in, window]
-        per_window = np.einsum("oj,oiw->ijw", g, w.data)  # [c_in, out_length, window]
-        gx = np.zeros_like(x.data)
-        span = stride * out_length
-        for k in range(window):
-            gx[:, k:k + span:stride] += per_window[:, :, k]
-        if b is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=1)
+        gx = gw = gb = None
+        if x.requires_grad:
+            per_tap = (w2.T @ g).reshape(c_in, window, out_length)
+            gx = np.zeros_like(x.data)
+            span = stride * out_length
+            for k in range(window):
+                gx[:, k:k + span:stride] += per_tap[:, k, :]
+        if w.requires_grad:
+            gw = (g @ windows.reshape(c_in * window, out_length).T).reshape(w.shape)
+        if b is not None and b.requires_grad:
+            gb = g.sum(axis=1)
+        return (gx, gw) if b is None else (gx, gw, gb)
 
     parents = (x, w) if b is None else (x, w, b)
     return _from_op(data, parents, grad_fn)

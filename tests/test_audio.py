@@ -127,3 +127,9 @@ class TestLogMel:
     def test_too_short(self):
         with pytest.raises(InputTooShort):
             log_mel(Waveform(samples=np.zeros(100)))
+
+    def test_filter_bank_built_once_and_read_only(self):
+        bank = mel_filterbank(80, 512, 16_000)
+        assert mel_filterbank(80, 512, 16_000) is bank
+        with pytest.raises(ValueError):
+            bank[0, 0] = 1.0

@@ -1,5 +1,8 @@
 """Bit-exact round-trips through the AFTX1 tensor container."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,43 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(FormatError):
         load_container(path)
+
+
+def _with_manifest(path, manifest, payload):
+    mjson = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(b"AFTX1" + struct.pack("<I", len(mjson)) + mjson + payload)
+
+
+@pytest.mark.parametrize("manifest", [
+    [{"name": "a", "shape": [2], "trainable": True}],
+    [{"shape": [2], "offset": 0, "trainable": True}],
+    [{"name": "a", "shape": [2], "offset": -8, "trainable": True}],
+    [{"name": "a", "shape": [-2], "offset": 0, "trainable": True}],
+    [{"name": "a", "shape": [2], "offset": 1.5, "trainable": True}],
+    [{"name": "a", "shape": 2, "offset": 0, "trainable": True}],
+    ["a"],
+    {"a": [2]},
+])
+def test_malformed_manifest_rejected(tmp_path, manifest):
+    path = tmp_path / "bad.aftx"
+    _with_manifest(path, manifest, np.zeros(4).tobytes())
+    with pytest.raises(FormatError):
+        load_container(path)
+
+
+def test_entries_read_at_offsets_and_writable(tmp_path):
+    path = tmp_path / "two.aftx"
+    payload = np.arange(6.0).tobytes()
+    _with_manifest(path, [{"name": "b", "shape": [2, 2], "offset": 16, "trainable": False},
+                          {"name": "a", "shape": [], "offset": 8, "trainable": True},
+                          {"name": "e", "shape": [0, 3], "offset": 48, "trainable": True}],
+                   payload)
+    (nb, b, tb), (na, a, ta), (ne, e, te) = load_container(path)
+    assert (nb, tb, na, ta, ne, te) == ("b", False, "a", True, "e", True)
+    np.testing.assert_array_equal(b, [[2.0, 3.0], [4.0, 5.0]])
+    assert a.shape == () and float(a) == 1.0
+    assert e.shape == (0, 3)
+    assert a.flags.writeable and b.flags.writeable
 
 
 def test_digest_stable_and_order_independent():

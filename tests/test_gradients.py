@@ -51,6 +51,29 @@ def check_op(build_loss, arrays, seed):
         assert err < TOL, f"seed {seed}, arg {idx}: rel err {err:.2e}"
 
 
+def check_constant_operands(op, reference, arrays, constant, rng, seed):
+    """``op(*tensors)`` with the arrays at indices ``constant`` held as
+    constants: every other gradient matches the oracle applied to
+    ``reference(*arrays)``, and ``grad_fn`` returns None for the constants."""
+    tensors = [Tensor(a, requires_grad=i not in constant) for i, a in enumerate(arrays)]
+    out = op(*tensors)
+    r = projection(rng, out.shape)
+    parent_grads = out._grad_fn(r)
+    backward(tsum(out * Tensor(r)))
+    for idx, (arr, t) in enumerate(zip(arrays, tensors)):
+        if idx in constant:
+            assert parent_grads[idx] is None and t.grad is None
+            continue
+
+        def scalar(perturbed, idx=idx):
+            args = list(arrays)
+            args[idx] = perturbed
+            return float((reference(*args) * r).sum())
+
+        err = max_rel_error(t.grad, numeric_gradient(scalar, arr))
+        assert err < TOL, f"seed {seed}, arg {idx}: rel err {err:.2e}"
+
+
 def run_instances(make_case):
     for seed in range(N_INSTANCES):
         rng = np.random.default_rng(seed)
@@ -96,6 +119,26 @@ class TestElementwiseOps:
                 return float((np.maximum(x_, 0.0) * r).sum())
 
             check_op(loss, [x], seed)
+        run_instances(case)
+
+
+class TestConstantOperands:
+    @pytest.mark.parametrize("b_shape, constant", [
+        ((3, 4), {0}),
+        ((3, 4), {1}),
+        ((), {1}),              # a constant scale, as on the attention queries
+    ])
+    def test_mul(self, b_shape, constant):
+        def case(rng, seed):
+            a, b = rng.standard_normal((3, 4)), rng.standard_normal(b_shape)
+            check_constant_operands(mul, np.multiply, [a, b], constant, rng, seed)
+        run_instances(case)
+
+    @pytest.mark.parametrize("constant", [{0}, {1}])
+    def test_matmul(self, constant):
+        def case(rng, seed):
+            a, b = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4, 3))
+            check_constant_operands(matmul, np.matmul, [a, b], constant, rng, seed)
         run_instances(case)
 
 
@@ -222,6 +265,34 @@ class TestConvGrad:
                 return float((out * r).sum())
 
             check_op(loss, [x, w, b], seed)
+        run_instances(case)
+
+
+def _conv1d_numpy(x, w, b, stride):
+    """Explicit loop over output frames, used only as the FD forward."""
+    c_out, _, window = w.shape
+    out = np.zeros((c_out, (x.shape[1] - window) // stride + 1))
+    for o in range(c_out):
+        for j in range(out.shape[1]):
+            out[o, j] = (w[o] * x[:, stride * j:stride * j + window]).sum() + b[o]
+    return out
+
+
+class TestConvConstantOperands:
+    @pytest.mark.parametrize("stride, window, length, constant", [
+        (2, 3, 13, {0}),        # log-mel input: only w and b train
+        (4, 5, 23, {0}),
+        (4, 5, 23, {1, 2}),     # frozen weights: only the input gradient
+    ])
+    def test_conv1d(self, stride, window, length, constant):
+        def case(rng, seed):
+            arrays = [rng.standard_normal((2, length)),
+                      rng.standard_normal((3, 2, window)),
+                      rng.standard_normal(3)]
+            check_constant_operands(
+                lambda x, w, b: conv1d(x, w, b, stride=stride),
+                lambda x, w, b: _conv1d_numpy(x, w, b, stride),
+                arrays, constant, rng, seed)
         run_instances(case)
 
 

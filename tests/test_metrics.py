@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aftx.errors import UndefinedCorrelation, UndefinedRecall
+from aftx.errors import LabelError, ShapeError, UndefinedCorrelation, UndefinedRecall
 from aftx.metrics import (
     ConfusionMatrix,
     CorrelationEntry,
@@ -83,6 +83,34 @@ class TestUar:
             y_pred = rng.integers(0, 2, n)
             got = uar(ConfusionMatrix.from_predictions(y_true, y_pred))
             assert abs(got - uar_oracle(y_true, y_pred)) < 1e-12
+
+    def test_counts_match_loop_oracle(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            y_true, y_pred = rng.integers(0, 2, (2, int(rng.integers(0, 60))))
+            expected = np.zeros((2, 2), dtype=np.int64)
+            for t, p in zip(y_true, y_pred):
+                expected[t, p] += 1
+            got = ConfusionMatrix.from_predictions(y_true, y_pred).counts
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("y_true, y_pred", [
+        ([0, 1, -1], [0, 1, 1]),
+        ([0, 1, 2], [0, 1, 1]),
+        ([0, 1, 1], [0, 2, 1]),
+        ([0, 1, 1], [0, 0.5, 1]),
+    ])
+    def test_labels_outside_zero_one_rejected(self, y_true, y_pred):
+        with pytest.raises(LabelError):
+            ConfusionMatrix.from_predictions(y_true, y_pred)
+
+    @pytest.mark.parametrize("y_true, y_pred", [
+        ([0, 1, 1], [0, 1]),
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+    ])
+    def test_shape_mismatch_rejected(self, y_true, y_pred):
+        with pytest.raises(ShapeError):
+            ConfusionMatrix.from_predictions(y_true, y_pred)
 
     def test_empty_row_undefined(self):
         with pytest.raises(UndefinedRecall):

@@ -72,6 +72,11 @@ class TestConv1d:
         with pytest.raises(ShapeError):
             conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 3, 3))))
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one(self, stride):
+        with pytest.raises(ShapeError):
+            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), stride=stride)
+
 
 class TestPositionalEncoding:
     def test_row_zero(self):
