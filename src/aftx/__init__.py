@@ -10,24 +10,18 @@ Subpackage map:
   masking.
 - ``corpus``: judge-score schemas, majority-vote labeling, folds, synthetic
   corpora.
-- ``model``: the transformer SER network, embedding-stack heads, the
-  augmentation-baseline CNN.
 - ``metrics``: UAR, phi, Pearson, trait-pair tables.
-- ``experiment``: pretrain/transfer/baseline protocols and reports.
-- ``cli``: the ``aftx`` command.
 """
 
 from .tensor import Parameter, Tensor, backward
-from .optim import AdamW, AdamWState, adamw_step
+from .optim import AdamW
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdamW",
-    "AdamWState",
     "Parameter",
     "Tensor",
-    "adamw_step",
     "backward",
     "__version__",
 ]

@@ -102,6 +102,9 @@ def load_wav(path) -> Waveform:
     while pos + 8 <= len(blob):
         cid = blob[pos:pos + 4]
         (size,) = struct.unpack("<I", blob[pos + 4:pos + 8])
+        if pos + 8 + size > len(blob):
+            raise FormatError(f"{path}: {cid!r} chunk declares {size} bytes, "
+                              f"{len(blob) - pos - 8} remain")
         body = blob[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
             fmt_info = _parse_fmt(body)

@@ -1,10 +1,11 @@
 """Frequency/time masking of spectrograms and corpus-level augmentation.
 
-Masked cells are filled with the global mean of the *unmasked* spectrogram,
-precomputed once per clip.  Because the fill is a constant, applying
-frequency-then-time and time-then-frequency with the same seed produces the
-same set of masked cells: each axis draws its rectangles from its own
-seed-derived substream, independent of application order.
+Masked cells are filled with the global mean of the input spectrogram,
+which ``apply_mask`` computes on every call before masking.  Because the
+fill is a constant, applying frequency-then-time and time-then-frequency
+with the same seed produces the same set of masked cells: each axis draws
+its rectangles from its own seed-derived substream, independent of
+application order.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ class Provenance:
     source_id: str
     kind: str                    # "original" or a mask kind
     seed: int | None = None
-
-    def as_dict(self) -> dict:
-        return {"source_id": self.source_id, "kind": self.kind, "seed": self.seed}
 
 
 def sample_mask_regions(num_rows: int, axis: str, max_width: int,

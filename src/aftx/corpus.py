@@ -10,7 +10,6 @@ File formats:
 
 - scores CSV:      ``clip_id,judge_id,trait,score``
 - clip manifest:   ``clip_id,speaker_id,path,duration_s``
-- continuous CSV:  ``clip_source_id,annotator_id,dimension,time_s,value``
 - fold plan:       JSON
 """
 
@@ -20,13 +19,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .audio import SAMPLE_RATE, Waveform
 from .errors import (
     DegenerateLabels,
+    FormatError,
     InputTooShort,
     InvalidMajority,
     MissingAnnotation,
@@ -326,13 +325,23 @@ def write_scores_csv(path, scores_by_trait: dict[str, JudgeScores]) -> None:
 
 def read_scores_csv(path) -> dict[str, JudgeScores]:
     """Group rows into one [judges, clips] matrix per trait.  Judge and clip
-    orders are sorted for determinism; every (judge, clip) cell must be
-    present exactly once per trait."""
+    orders are sorted for determinism.  Raises FormatError unless every
+    (judge, clip) cell of a trait is present exactly once with a finite
+    score."""
     cells: dict[str, dict[tuple[str, str], float]] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            trait = row["trait"]
-            cells.setdefault(trait, {})[(row["judge_id"], row["clip_id"])] = float(row["score"])
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                trait, key = row["trait"], (row["judge_id"], row["clip_id"])
+                score = float(row["score"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"{path}:{reader.line_num}: bad scores row") from exc
+            data = cells.setdefault(trait, {})
+            if key in data:
+                raise FormatError(
+                    f"{path}:{reader.line_num}: second score for {key} on {trait}")
+            data[key] = score
     out: dict[str, JudgeScores] = {}
     for trait, data in cells.items():
         judges = sorted({j for j, _ in data})
@@ -341,8 +350,12 @@ def read_scores_csv(path) -> dict[str, JudgeScores]:
         for ji, judge in enumerate(judges):
             for ci, cid in enumerate(clips):
                 if (judge, cid) not in data:
-                    raise KeyError(f"scores file is missing ({judge}, {cid}) for {trait}")
+                    raise FormatError(f"{path}: no score for ({judge}, {cid}) on {trait}")
                 matrix[ji, ci] = data[(judge, cid)]
+        if not np.isfinite(matrix).all():
+            ji, ci = np.argwhere(~np.isfinite(matrix))[0]
+            raise FormatError(
+                f"{path}: non-finite score for ({judges[ji]}, {clips[ci]}) on {trait}")
         scale = FIVE_POINT if trait in TRAITS else CONTINUOUS
         out[trait] = JudgeScores(matrix=matrix, scale=scale, trait=trait,
                                  clip_ids=clips, judge_ids=judges)
@@ -366,43 +379,3 @@ def read_manifest_csv(path) -> list[AnnotatedClip]:
                 clip_id=row["clip_id"], speaker_id=row["speaker_id"],
                 path=row["path"], duration_s=float(row["duration_s"])))
     return clips
-
-
-def write_continuous_csv(path, rows) -> None:
-    """rows: iterable of (clip_source_id, annotator_id, dimension, time_s, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_source_id", "annotator_id", "dimension", "time_s", "value"])
-        for source, annotator, dim, t, v in rows:
-            writer.writerow([source, annotator, dim, repr(float(t)), repr(float(v))])
-
-
-def read_continuous_csv(path):
-    """-> {source_id: {dimension: {annotator: (times, values)}}}, time-sorted."""
-    acc: dict[str, dict[str, dict[str, list[tuple[float, float]]]]] = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            acc.setdefault(row["clip_source_id"], {}) \
-               .setdefault(row["dimension"], {}) \
-               .setdefault(row["annotator_id"], []) \
-               .append((float(row["time_s"]), float(row["value"])))
-    out = {}
-    for source, dims in acc.items():
-        out[source] = {}
-        for dim, annotators in dims.items():
-            out[source][dim] = {}
-            for annotator, pairs in annotators.items():
-                pairs.sort()
-                times = np.array([p[0] for p in pairs])
-                values = np.array([p[1] for p in pairs])
-                out[source][dim][annotator] = (times, values)
-    return out
-
-
-def read_labels_json(path) -> dict[str, dict[str, int]]:
-    return {trait: {cid: int(v) for cid, v in labels.items()}
-            for trait, labels in json.loads(Path(path).read_text()).items()}
-
-
-def write_labels_json(path, labels: dict[str, dict[str, int]]) -> None:
-    Path(path).write_text(json.dumps(labels, indent=2, sort_keys=True) + "\n")

@@ -43,7 +43,7 @@ class MissingGrad(AftxError):
 # --- audio / augmentation ---
 
 class FormatError(AftxError):
-    """File is not a well-formed RIFF/WAVE container."""
+    """A file is malformed for its format (WAV, AFTX1 or scores CSV)."""
 
 
 class UnsupportedCodec(AftxError):
@@ -76,17 +76,3 @@ class UndefinedRecall(AftxError):
 
 class UndefinedCorrelation(AftxError):
     """Correlation is undefined (constant input or zero variance)."""
-
-
-# --- model / experiment ---
-
-class NotAStack(AftxError):
-    """An embedding stack needs at least two layers."""
-
-
-class ConfigMismatch(AftxError):
-    """Checkpoint contents do not match the model configuration."""
-
-
-class MissingEmbedding(AftxError):
-    """A corpus clip has no embedding stack on disk."""

@@ -1,7 +1,7 @@
 """Transformer encoder building blocks assembled from the autograd primitives.
 
-Each function takes explicit weight tensors (or Parameters) so the model
-module stays a thin container of named parameters.
+Each function takes explicit weight tensors, so a model can stay a thin
+container of named parameters.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import HeadMismatch, OddDimension, ShapeError
 from .tensor import (
-    Parameter,
     Tensor,
     add,
     as_tensor,
@@ -23,10 +22,6 @@ from .tensor import (
     softmax,
     transpose,
 )
-
-
-def _t(p) -> Tensor:
-    return p.tensor if isinstance(p, Parameter) else as_tensor(p)
 
 
 def positional_encoding(num_frames: int, dim: int) -> Tensor:
@@ -50,12 +45,12 @@ def positional_encoding(num_frames: int, dim: int) -> Tensor:
 
 def linear(x: Tensor, weight, bias=None) -> Tensor:
     """x @ weight (+ bias).  Weight is [d_in, d_out]; x is [..., d_in]."""
-    w = _t(weight)
+    w = as_tensor(weight)
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear expects input dim {w.shape[0]}, got {x.shape[-1]}")
     out = matmul(x, w) if x.data.ndim > 1 else reshape(matmul(reshape(x, (1, -1)), w), (w.shape[1],))
     if bias is not None:
-        out = add(out, _t(bias))
+        out = add(out, bias)
     return out
 
 
@@ -108,4 +103,4 @@ def layer_norm_residual(x: Tensor, sublayer_out: Tensor, gain, bias) -> Tensor:
     if x.shape != sublayer_out.shape:
         raise ShapeError(
             f"residual shapes differ: {x.shape} vs {sublayer_out.shape}")
-    return layer_norm(add(x, sublayer_out), _t(gain), _t(bias))
+    return layer_norm(add(x, sublayer_out), gain, bias)

@@ -55,7 +55,7 @@ def phi(x, y) -> float:
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     if x.shape != y.shape:
-        raise ValueError("phi needs equal-length vectors")
+        raise ShapeError("phi needs equal-length vectors")
     n11 = int(((x == 1) & (y == 1)).sum())
     n10 = int(((x == 1) & (y == 0)).sum())
     n01 = int(((x == 0) & (y == 1)).sum())
@@ -73,7 +73,7 @@ def pearson(x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("pearson needs two equal-length vectors")
+        raise ShapeError("pearson needs two equal-length vectors")
     if len(x) < 2:
         raise UndefinedCorrelation("pearson needs at least two samples")
     xc = x - x.mean()

@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay.
+"""AdamW with decoupled weight decay (Loshchilov & Hutter, arXiv 1711.05101).
 
 The decay ``w <- w - lr * wd * w`` is applied separately from the
 bias-corrected moment update, so a parameter with zero gradient still decays.
@@ -7,67 +7,55 @@ Frozen parameters are skipped entirely and stay bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import MissingGrad
 from .tensor import Parameter
 
 
-@dataclass
-class AdamWState:
-    lr: float = 1e-4
-    weight_decay: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def adamw_step(params: dict[str, Parameter], state: AdamWState) -> None:
-    """Apply one update to every trainable parameter in ``params``.
-
-    Raises MissingGrad if a trainable parameter has no gradient.
-    """
-    state.step_count += 1
-    t = state.step_count
-    bias1 = 1.0 - state.beta1 ** t
-    bias2 = 1.0 - state.beta2 ** t
-    for name, p in params.items():
-        if not p.trainable:
-            continue
-        g = p.tensor.grad
-        if g is None:
-            raise MissingGrad(f"trainable parameter {name!r} has no gradient")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        # decoupled decay, then the moment update
-        w = p.tensor.data
-        w *= 1.0 - state.lr * state.weight_decay
-        w -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
-
-
 class AdamW:
-    """Convenience wrapper owning an AdamWState for a parameter dict."""
+    """Optimizer state and update for one dict of named parameters."""
 
     def __init__(self, params: dict[str, Parameter], lr: float = 1e-4,
                  weight_decay: float = 1e-5, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8):
         self.params = params
-        self.state = AdamWState(lr=lr, weight_decay=weight_decay,
-                                beta1=beta1, beta2=beta2, epsilon=epsilon)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.step_count = 0
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def step(self) -> None:
-        adamw_step(self.params, self.state)
+        """Apply one update to every trainable parameter.
+
+        Raises MissingGrad if a trainable parameter has no gradient.
+        """
+        self.step_count += 1
+        t = self.step_count
+        bias1 = 1.0 - self.beta1 ** t
+        bias2 = 1.0 - self.beta2 ** t
+        for name, p in self.params.items():
+            if not p.trainable:
+                continue
+            g = p.tensor.grad
+            if g is None:
+                raise MissingGrad(f"trainable parameter {name!r} has no gradient")
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            # decoupled decay, then the moment update
+            w = p.tensor.data
+            w *= 1.0 - self.lr * self.weight_decay
+            w -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.epsilon)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -12,7 +12,6 @@ no broadcasting beyond what bias addition requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,12 +51,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -382,6 +375,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"logits must be [batch, classes], got {logits.shape}")
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     n, c = z.shape
+    if n == 0:
+        raise ShapeError("softmax_cross_entropy needs a non-empty batch")
     if labels.shape != (n,):
         raise LabelError(f"expected {n} labels, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= c:
@@ -461,31 +456,20 @@ def backward(loss: Tensor) -> None:
 # parameters
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Parameter:
-    """A named model weight.  Frozen parameters never receive gradients and
-    are bit-identical across optimizer steps."""
+    """A named model weight.  ``trainable`` is the tensor's ``requires_grad``:
+    frozen parameters never receive gradients and are bit-identical across
+    optimizer steps."""
 
-    tensor: Tensor
-    trainable: bool = True
-    name: str = ""
+    def __init__(self, tensor: Tensor, trainable: bool = True, name: str = ""):
+        self.tensor = tensor
+        self.name = name
+        tensor.requires_grad = bool(trainable)
 
-    def __post_init__(self):
-        self.tensor.requires_grad = self.trainable
+    @property
+    def trainable(self) -> bool:
+        return self.tensor.requires_grad
 
     @property
     def data(self) -> np.ndarray:
         return self.tensor.data
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.tensor.grad
-
-    def freeze(self) -> None:
-        self.trainable = False
-        self.tensor.requires_grad = False
-        self.tensor.grad = None
-
-    def unfreeze(self) -> None:
-        self.trainable = True
-        self.tensor.requires_grad = True

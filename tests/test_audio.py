@@ -79,6 +79,14 @@ class TestLoadWav:
         with pytest.raises(UnsupportedCodec):
             load_wav(path)
 
+    def test_truncated_data_chunk_rejected(self, tmp_path):
+        # a 16000-sample file cut to 978 samples still declares 32000 data bytes
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(samples=np.zeros(16_000), sample_rate=16_000))
+        path.write_bytes(path.read_bytes()[:44 + 2 * 978])
+        with pytest.raises(FormatError):
+            load_wav(path)
+
 
 class TestResample:
     def test_ratio(self):

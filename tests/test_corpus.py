@@ -24,6 +24,7 @@ from aftx.corpus import (
 )
 from aftx.errors import (
     DegenerateLabels,
+    FormatError,
     InputTooShort,
     InvalidMajority,
     MissingAnnotation,
@@ -263,6 +264,18 @@ class TestCsvRoundTrips:
             np.testing.assert_array_equal(loaded[trait].matrix, by_trait[trait].matrix)
             assert loaded[trait].clip_ids == by_trait[trait].clip_ids
             assert loaded[trait].scale == FIVE_POINT
+
+    @pytest.mark.parametrize("rows", [
+        ["c1,j1,EX,3", "c2,j1,EX,4", "c1,j1,EX,5"],     # duplicate cell
+        ["c1,j1,EX,3", "c2,j1,EX,nan"],                 # non-finite score
+        ["c1,j1,EX,3", "c2,j1,EX,4", "c1,j2,EX,2"],     # (j2, c2) missing
+        ["c1,j1,EX,3", "c2,j1,EX"],                     # row without a score
+    ], ids=["duplicate", "nan", "missing", "short_row"])
+    def test_malformed_scores_rejected(self, tmp_path, rows):
+        path = tmp_path / "scores.csv"
+        path.write_text("\n".join(["clip_id,judge_id,trait,score", *rows]) + "\n")
+        with pytest.raises(FormatError):
+            read_scores_csv(path)
 
     def test_manifest_round_trip(self, tmp_path):
         clips = [AnnotatedClip("c1", "s1", "a/b.wav", 10.0),

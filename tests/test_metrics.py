@@ -159,6 +159,10 @@ class TestPhi:
         with pytest.raises(UndefinedCorrelation):
             phi(np.ones(10, dtype=int), np.array([0, 1] * 5))
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ShapeError):
+            phi([0, 1, 1], [0, 1])
+
 
 class TestPearson:
     def test_affine(self):
@@ -186,6 +190,10 @@ class TestPearson:
     def test_zero_variance_undefined(self):
         with pytest.raises(UndefinedCorrelation):
             pearson(np.ones(10), np.arange(10.0))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ShapeError):
+            pearson([0.0, 1.0, 2.0], [0.0, 1.0])
 
 
 class TestTraitPairTable:

@@ -1,10 +1,10 @@
-"""AdamW contracts: decoupled decay, bias correction, freeze invariance."""
+"""AdamW contracts: decoupled decay, bias correction, frozen parameters."""
 
 import numpy as np
 import pytest
 
 from aftx.errors import MissingGrad
-from aftx.optim import AdamW, AdamWState, adamw_step
+from aftx.optim import AdamW
 from aftx.tensor import Parameter, Tensor, backward, tsum
 
 
@@ -18,17 +18,16 @@ class TestAdamWStep:
         # w' = 1 - lr * wd * 1 = 1 - 1e-9
         p = make_param([1.0])
         p.tensor.grad = np.zeros(1)
-        state = AdamWState(lr=1e-4, weight_decay=1e-5)
-        adamw_step({"p": p}, state)
+        opt = AdamW({"p": p}, lr=1e-4, weight_decay=1e-5)
+        opt.step()
         assert p.data[0] == pytest.approx(1.0 - 1e-9, abs=1e-16)
-        assert state.step_count == 1
+        assert opt.step_count == 1
 
     def test_first_step_closed_form(self):
         # w=0, grad=2, lr=0.1, wd=0: bias correction makes m̂/(√v̂+ε) ≈ 1
         p = make_param([0.0])
         p.tensor.grad = np.array([2.0])
-        state = AdamWState(lr=0.1, weight_decay=0.0)
-        adamw_step({"p": p}, state)
+        AdamW({"p": p}, lr=0.1, weight_decay=0.0).step()
         assert p.data[0] == pytest.approx(-0.1, abs=1e-6)
 
     def test_frozen_parameter_bit_identical(self):
@@ -36,34 +35,34 @@ class TestAdamWStep:
         p = make_param(values.copy(), trainable=False)
         q = make_param([1.0], name="q")
         q.tensor.grad = np.array([0.5])
-        state = AdamWState()
+        opt = AdamW({"p": p, "q": q})
         for _ in range(10):
-            adamw_step({"p": p, "q": q}, state)
+            opt.step()
             q.tensor.grad = np.array([0.5])
         assert p.data.tobytes() == values.tobytes()
-        assert state.step_count == 10
+        assert opt.step_count == 10
 
     def test_missing_grad_raises(self):
         p = make_param([1.0])
         with pytest.raises(MissingGrad):
-            adamw_step({"p": p}, AdamWState())
+            AdamW({"p": p}).step()
 
     def test_matches_scalar_reference(self):
         # independent scalar recurrence for a short schedule
         rng = np.random.default_rng(0)
-        grads = rng.standard_normal(5)
+        grads = rng.standard_normal(50)
         lr, wd, b1, b2, eps = 1e-2, 1e-3, 0.9, 0.999, 1e-8
         w, m, v = 0.5, 0.0, 0.0
         p = make_param([0.5])
-        state = AdamWState(lr=lr, weight_decay=wd, beta1=b1, beta2=b2, epsilon=eps)
+        opt = AdamW({"p": p}, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, epsilon=eps)
         for t, g in enumerate(grads, start=1):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             w = w * (1 - lr * wd)
             w -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
             p.tensor.grad = np.array([g])
-            adamw_step({"p": p}, state)
-        assert p.data[0] == pytest.approx(w, abs=1e-15)
+            opt.step()
+        assert p.data[0] == w
 
 
 class TestAdamWWrapper:

@@ -210,6 +210,10 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(LabelError):
             softmax_cross_entropy(Tensor([[0.0, 0.0]]), [2])
 
+    def test_empty_batch(self):
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy(Tensor(np.zeros((0, 2))), [])
+
 
 class TestDropout:
     def test_p_zero_identity(self):
