@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .audio import Spectrogram
-from .errors import MaskTooLarge
+from .errors import MaskTooLarge, UnknownKind
 
 FREQUENCY = "frequency"
 TIME = "time"
@@ -38,7 +38,7 @@ class MaskSpec:
 
     def __post_init__(self):
         if self.kind not in MASK_KINDS:
-            raise ValueError(f"unknown mask kind {self.kind!r}; expected one of {MASK_KINDS}")
+            raise UnknownKind(f"unknown mask kind {self.kind!r}; expected one of {MASK_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def augment_corpus(clips: list[Spectrogram], plan=DEFAULT_PLAN,
     plan = tuple(plan)
     for kind in plan:
         if kind not in MASK_KINDS:
-            raise ValueError(f"unknown mask kind {kind!r} in plan")
+            raise UnknownKind(f"unknown mask kind {kind!r} in plan")
     out: list[tuple[Spectrogram, Provenance]] = []
     for spec in clips:
         out.append((spec, Provenance(spec.source_id, "original")))

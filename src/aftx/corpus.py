@@ -28,7 +28,10 @@ from .errors import (
     FormatError,
     InputTooShort,
     InvalidMajority,
+    LabelError,
     MissingAnnotation,
+    SchemaError,
+    UnknownKind,
 )
 
 TRAITS = ("EX", "AG", "CO", "NE", "OP")
@@ -63,16 +66,16 @@ class JudgeScores:
         """Enforce the corpus-schema invariants (judge count, score range)."""
         expected = PERSONALITY_JUDGES if self.trait in TRAITS else EMOTION_JUDGES
         if self.num_judges != expected:
-            raise ValueError(
+            raise SchemaError(
                 f"trait {self.trait!r} expects {expected} judges, got {self.num_judges}")
         if self.scale == FIVE_POINT:
             if not np.isin(self.matrix, [1, 2, 3, 4, 5]).all():
-                raise ValueError("five-point scores must lie in {1,...,5}")
+                raise SchemaError("five-point scores must lie in {1,...,5}")
         elif self.scale == CONTINUOUS:
             if self.matrix.min() < -1.0 or self.matrix.max() > 1.0:
-                raise ValueError("continuous scores must lie in [-1, 1]")
+                raise SchemaError("continuous scores must lie in [-1, 1]")
         else:
-            raise ValueError(f"unknown scale {self.scale!r}")
+            raise UnknownKind(f"unknown scale {self.scale!r}")
 
 
 @dataclass
@@ -170,11 +173,11 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
     invariant holds only as far as speaker clip counts allow.
     """
     if len(clips) < num_folds:
-        raise ValueError(f"need at least {num_folds} clips, got {len(clips)}")
+        raise InputTooShort(f"need at least {num_folds} clips, got {len(clips)}")
     labels = {}
     for clip in clips:
         if trait not in clip.binary_labels:
-            raise KeyError(f"clip {clip.clip_id!r} has no label for {trait!r}")
+            raise LabelError(f"clip {clip.clip_id!r} has no label for {trait!r}")
         labels[clip.clip_id] = int(clip.binary_labels[trait])
     if len(set(labels.values())) < 2:
         raise DegenerateLabels(f"trait {trait!r} has only one class")
@@ -246,7 +249,7 @@ def _synthesize_clip(rng: np.random.Generator, label: int, signal: str,
         rms = 0.20
         f0 = 220.0
     else:
-        raise ValueError(f"unknown label signal {signal!r}")
+        raise UnknownKind(f"unknown label signal {signal!r}")
     f0 *= 1.0 + 0.02 * rng.standard_normal()
     phase = rng.uniform(0.0, 2.0 * math.pi)
     t = np.arange(num_samples) / sample_rate
@@ -277,7 +280,7 @@ def synthetic_judge_scores(planted: np.ndarray, num_judges: int, scale: str,
         raw = raw + noise * rng.standard_normal((num_judges, n))
         matrix = np.clip(raw, -1.0, 1.0)
     else:
-        raise ValueError(f"unknown scale {scale!r}")
+        raise UnknownKind(f"unknown scale {scale!r}")
     return JudgeScores(matrix=matrix, scale=scale, trait=trait,
                        clip_ids=list(clip_ids),
                        judge_ids=[f"j{j:02d}" for j in range(num_judges)])

@@ -24,8 +24,10 @@ class HeadMismatch(AftxError):
     """Model dimension is not divisible by the number of attention heads."""
 
 
-class LabelError(AftxError):
-    """A class label is missing or outside the valid range."""
+class LabelError(AftxError, KeyError):
+    """A class label is missing or outside the valid range.
+
+    Also a KeyError, because a missing label is a failed lookup by trait."""
 
 
 class InvalidProbability(AftxError):
@@ -42,6 +44,10 @@ class MissingGrad(AftxError):
 
 # --- audio / augmentation ---
 
+class UnknownKind(AftxError):
+    """A mask kind, label signal or score scale that the library does not define."""
+
+
 class FormatError(AftxError):
     """A file is malformed for its format (WAV, AFTX1 or scores CSV)."""
 
@@ -55,6 +61,10 @@ class MaskTooLarge(AftxError):
 
 
 # --- corpus ---
+
+class SchemaError(AftxError):
+    """Judge scores break the corpus schema: wrong judge count or score range."""
+
 
 class InvalidMajority(AftxError):
     """Majority threshold exceeds the number of judges."""

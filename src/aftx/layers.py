@@ -15,11 +15,11 @@ from .tensor import (
     Tensor,
     add,
     as_tensor,
+    attention,
     layer_norm,
     matmul,
     relu,
     reshape,
-    softmax,
     transpose,
 )
 
@@ -84,12 +84,11 @@ def multi_head_attention(
         return transpose(reshape(t, (frames, num_heads, head_dim)), (1, 0, 2))
 
     qh, kh, vh = split(q), split(k), split(v)
-    attn = softmax(matmul(qh, transpose(kh, (0, 2, 1))), axis=-1)
-    ctx = matmul(attn, vh)
+    ctx, weights = attention(qh, kh, vh)
     merged = reshape(transpose(ctx, (1, 0, 2)), (frames, dim))
     out = linear(merged, wo, bo)
     if return_weights:
-        return out, attn.data.copy()
+        return out, weights.copy()
     return out
 
 

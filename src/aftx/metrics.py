@@ -101,7 +101,7 @@ def trait_pair_table(scores_5scale: dict[str, np.ndarray],
     """
     missing = [t for t in traits if t not in scores_5scale or t not in labels_2scale]
     if missing:
-        raise KeyError(f"missing traits: {missing}")
+        raise LabelError(f"missing traits: {missing}")
     entries = []
     for a, b in combinations(traits, 2):
         try:

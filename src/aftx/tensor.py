@@ -239,18 +239,67 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _from_op(data, tuple(tensors), grad_fn)
 
 
+def _softmax_into(x: np.ndarray, out, axis: int) -> np.ndarray:
+    """Stabilized softmax of ``x`` along ``axis``, written into ``out`` (a new
+    array when ``out`` is None, or ``x`` itself), with no other array of its
+    size: subtract the max, exponentiate in place, divide by the sum."""
+    s = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+    return s
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stabilized softmax along ``axis``; rows sum to one."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = _softmax_into(x.data, None, axis)
 
     def grad_fn(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
         return ((g - dot) * s,)
 
     return _from_op(s, (x,), grad_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor):
+    """softmax(q kᵀ) v over stacks with equal batch dims, as one tape op.
+
+    ``q`` is [..., frames_q, d], ``k`` [..., frames_k, d] and ``v``
+    [..., frames_k, d_v].  Returns the output Tensor [..., frames_q, d_v] and
+    the read-only attention weights [..., frames_q, frames_k], whose rows sum
+    to one.  The weights are the only array of that size the forward makes,
+    and the backward makes one more: it uses rowsum(g ∘ out), which equals
+    rowsum((g vᵀ) ∘ weights), on [..., frames_q, d_v] (Dao et al. 2022).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
+        raise ShapeError("attention needs operands of rank >= 2")
+    if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+        raise ShapeError(f"attention batch dims differ: {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention query and key dims differ: {q.shape}, {k.shape}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention key and value frames differ: {k.shape}, {v.shape}")
+    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    _softmax_into(p, p, -1)
+    p.flags.writeable = False
+    out = np.matmul(p, v.data)
+
+    def grad_fn(g):
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = np.matmul(np.swapaxes(p, -1, -2), g)
+        if q.requires_grad or k.requires_grad:
+            gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            gs -= (g * out).sum(axis=-1, keepdims=True)
+            gs *= p
+            if q.requires_grad:
+                gq = np.matmul(gs, k.data)
+            if k.requires_grad:
+                gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+        return gq, gk, gv
+
+    return _from_op(out, (q, k, v), grad_fn), p
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:

@@ -16,7 +16,7 @@ from aftx.augment import (
     augment_corpus,
     sample_mask_regions,
 )
-from aftx.errors import MaskTooLarge
+from aftx.errors import MaskTooLarge, UnknownKind
 
 
 def random_spec(rng, mel_bins=24, frames=90, source_id="clip"):
@@ -102,6 +102,14 @@ class TestAugmentCorpus:
     def make_clips(self, n):
         rng = np.random.default_rng(7)
         return [random_spec(rng, source_id=f"clip{idx:04d}") for idx in range(n)]
+
+    def test_unknown_mask_kind(self):
+        with pytest.raises(UnknownKind):
+            MaskSpec("bogus")
+
+    def test_unknown_kind_in_plan(self):
+        with pytest.raises(UnknownKind):
+            augment_corpus(self.make_clips(2), plan=(FREQUENCY, "bogus"), seed=0)
 
     def test_default_plan_quadruples_640_clips(self):
         clips = self.make_clips(640)

@@ -27,7 +27,10 @@ from aftx.errors import (
     FormatError,
     InputTooShort,
     InvalidMajority,
+    LabelError,
     MissingAnnotation,
+    SchemaError,
+    UnknownKind,
 )
 
 
@@ -212,6 +215,14 @@ class TestMakeFolds:
         with pytest.raises(DegenerateLabels):
             make_folds(clips, "EX", seed=0)
 
+    def test_fewer_clips_than_folds(self):
+        with pytest.raises(InputTooShort):
+            make_folds(make_clips([0, 1, 0, 1]), "EX", seed=0)
+
+    def test_missing_trait_label(self):
+        with pytest.raises(LabelError):
+            make_folds(make_clips([0, 1] * 5), "AG", seed=0)
+
 
 class TestSyntheticCorpus:
     def test_shapes_and_scale(self):
@@ -247,6 +258,26 @@ class TestSyntheticCorpus:
         corpus.scores.validate_schema()
         labels = binarize_majority(corpus.scores)
         np.testing.assert_array_equal(labels, corpus.planted)
+
+
+class TestSchemaErrors:
+    @pytest.mark.parametrize("judges, score, trait, scale, error", [
+        (3, 3.0, "EX", FIVE_POINT, SchemaError),             # EX wants 11 judges
+        (11, 6.0, "EX", FIVE_POINT, SchemaError),            # off the 1-5 scale
+        (11, 2.5, "EX", FIVE_POINT, SchemaError),            # not a whole point
+        (6, 1.5, "arousal", CONTINUOUS, SchemaError),        # outside [-1, 1]
+        (11, 0.5, "EX", "seven_point", UnknownKind),
+    ], ids=["judges", "five-point-range", "five-point-fraction", "continuous-range", "scale"])
+    def test_validate_schema_rejects(self, judges, score, trait, scale, error):
+        with pytest.raises(error):
+            scores_from_matrix(np.full((judges, 4), score), trait=trait,
+                               scale=scale).validate_schema()
+
+    @pytest.mark.parametrize("field, value", [("label_signal", "loudness"),
+                                              ("scale", "seven_point")])
+    def test_synthetic_unknown_kind(self, field, value):
+        with pytest.raises(UnknownKind):
+            generate_synthetic_corpus(SyntheticSpec(num_clips=4, **{field: value}))
 
 
 class TestCsvRoundTrips:

@@ -13,6 +13,7 @@ from aftx.layers import feed_forward, layer_norm_residual, multi_head_attention
 from aftx.tensor import (
     Tensor,
     add,
+    attention,
     backward,
     conv1d,
     dropout,
@@ -72,6 +73,20 @@ def check_constant_operands(op, reference, arrays, constant, rng, seed):
 
         err = max_rel_error(t.grad, numeric_gradient(scalar, arr))
         assert err < TOL, f"seed {seed}, arg {idx}: rel err {err:.2e}"
+
+
+def _attention_numpy(q, k, v):
+    """Independent numpy softmax(q kᵀ) v over the last two axes."""
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return np.matmul(e / e.sum(axis=-1, keepdims=True), v)
+
+
+def _attention_operands(rng):
+    """q [2, 3, 4], k [2, 5, 4], v [2, 5, 3]: query and key frame counts and
+    the key and value widths all differ, so a swapped axis cannot pass."""
+    return [rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 5, 4)),
+            rng.standard_normal((2, 5, 3))]
 
 
 def run_instances(make_case):
@@ -139,6 +154,13 @@ class TestConstantOperands:
         def case(rng, seed):
             a, b = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4, 3))
             check_constant_operands(matmul, np.matmul, [a, b], constant, rng, seed)
+        run_instances(case)
+
+    @pytest.mark.parametrize("constant", [{0}, {1}, {2}, {0, 1}])
+    def test_attention(self, constant):
+        def case(rng, seed):
+            check_constant_operands(lambda q, k, v: attention(q, k, v)[0], _attention_numpy,
+                                    _attention_operands(rng), constant, rng, seed)
         run_instances(case)
 
 
@@ -334,6 +356,19 @@ def _mha_numpy(x, num_heads, wq, bq, wk, bk, wv, bv, wo, bo):
 
 
 class TestAttentionGrad:
+    def test_attention_all_operands(self):
+        def case(rng, seed):
+            arrays = _attention_operands(rng)
+            r = projection(rng, (2, 3, 3))
+
+            def loss(q, k, v, as_tensors=False):
+                if as_tensors:
+                    return tsum(attention(q, k, v)[0] * Tensor(r))
+                return float((_attention_numpy(q, k, v) * r).sum())
+
+            check_op(loss, arrays, seed)
+        run_instances(case)
+
     def test_mha_all_arguments(self):
         def case(rng, seed):
             frames, dim, heads = 3, 4, 2

@@ -250,3 +250,9 @@ class TestTraitPairTable:
         del scores["OP"]
         with pytest.raises(KeyError):
             trait_pair_table(scores, labels)
+
+    def test_missing_label_is_label_error(self):
+        scores, labels = self.synthetic_tables(seed=6)
+        del labels["NE"]
+        with pytest.raises(LabelError):
+            trait_pair_table(scores, labels)

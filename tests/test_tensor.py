@@ -1,10 +1,12 @@
 """Forward-pass contracts of the autograd primitives and transformer blocks."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from aftx import tensor
 from aftx.errors import (
     HeadMismatch,
     InputTooShort,
@@ -22,13 +24,21 @@ from aftx.layers import (
 )
 from aftx.tensor import (
     Tensor,
+    add,
+    attention,
     backward,
     conv1d,
     dropout,
     layer_norm,
+    matmul,
+    mul,
+    relu,
+    reshape,
     softmax,
     softmax_cross_entropy,
     stack,
+    tmean,
+    transpose,
     tsum,
 )
 
@@ -132,6 +142,37 @@ class TestMultiHeadAttention:
         x = Tensor(np.zeros((2, 6)))
         with pytest.raises(HeadMismatch):
             multi_head_attention(x, 4, **_identity_mha_params(6))
+
+
+class TestAttention:
+    def operands(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return (Tensor(rng.standard_normal((3, 6, 4))), Tensor(rng.standard_normal((3, 5, 4))),
+                Tensor(rng.standard_normal((3, 5, 2))))
+
+    def test_equals_softmax_matmul_chain(self):
+        for seed in range(5):
+            q, k, v = self.operands(seed)
+            out, _ = attention(q, k, v)
+            chain = matmul(softmax(matmul(q, transpose(k, (0, 2, 1)))), v)
+            assert np.array_equal(out.data, chain.data)
+
+    def test_weights_read_only_rows_sum_to_one(self):
+        _, weights = attention(*self.operands())
+        assert weights.shape == (3, 6, 5)
+        np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+        with pytest.raises(ValueError):
+            weights[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("shapes", [
+        ((4,), (5, 4), (5, 2)),                # an operand of rank < 2
+        ((3, 6, 4), (2, 5, 4), (3, 5, 2)),     # unequal batch dims
+        ((3, 6, 4), (3, 5, 3), (3, 5, 2)),     # query and key widths differ
+        ((3, 6, 4), (3, 5, 4), (3, 7, 2)),     # key and value frame counts differ
+    ], ids=["rank", "batch", "qk-width", "kv-frames"])
+    def test_shape_error(self, shapes):
+        with pytest.raises(ShapeError):
+            attention(*(Tensor(np.zeros(s)) for s in shapes))
 
 
 class TestFeedForward:
@@ -308,3 +349,66 @@ class TestNumericalHygiene:
         assert np.isfinite(loss.item())
         backward(loss)
         assert np.all(np.isfinite(logits.grad))
+
+
+def _leaf(rng, *shape):
+    return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+# One forward per recorded op, every operand requiring grad.
+TAPE_OPS = [
+    ("add", lambda r: add(_leaf(r, 3, 4), _leaf(r, 4))),
+    ("mul", lambda r: mul(_leaf(r, 3, 4), _leaf(r, 3, 4))),
+    ("matmul", lambda r: matmul(_leaf(r, 2, 3, 4), _leaf(r, 2, 4, 5))),
+    ("relu", lambda r: relu(_leaf(r, 3, 4))),
+    ("reshape", lambda r: reshape(_leaf(r, 3, 4), (4, 3))),
+    ("transpose", lambda r: transpose(_leaf(r, 2, 3, 4), (1, 0, 2))),
+    ("tsum", lambda r: tsum(_leaf(r, 3, 4), 0)),
+    ("tmean", lambda r: tmean(_leaf(r, 3, 4), 1)),
+    ("stack", lambda r: stack([_leaf(r, 3), _leaf(r, 3)])),
+    ("softmax", lambda r: softmax(_leaf(r, 3, 4))),
+    ("attention", lambda r: attention(_leaf(r, 2, 3, 4), _leaf(r, 2, 5, 4),
+                                      _leaf(r, 2, 5, 3))[0]),
+    ("dropout", lambda r: dropout(_leaf(r, 3, 4), 0.5, True, r)),
+    ("dropout", lambda r: dropout(_leaf(r, 3, 4), 0.5, False, r)),
+    ("conv1d", lambda r: conv1d(_leaf(r, 2, 9), _leaf(r, 3, 2, 3), _leaf(r, 3), stride=2)),
+    ("layer_norm", lambda r: layer_norm(_leaf(r, 3, 4), _leaf(r, 4), _leaf(r, 4))),
+    ("softmax_cross_entropy", lambda r: softmax_cross_entropy(_leaf(r, 3, 2), [0, 1, 1])),
+]
+
+
+class TestTapeContracts:
+    """The backward may hand one gradient array to several parents (``add``,
+    ``reshape`` and ``transpose`` return it or a view of it), so no
+    ``grad_fn`` may write into the gradient it receives."""
+
+    def test_every_recorded_op_is_covered(self):
+        recorded = {name for name, fn in inspect.getmembers(tensor, inspect.isfunction)
+                    if fn.__module__ == tensor.__name__ and name != "_from_op"
+                    and "_from_op(" in inspect.getsource(fn)}
+        assert recorded == {name for name, _ in TAPE_OPS}
+
+    @pytest.mark.parametrize("build", [b for _, b in TAPE_OPS], ids=[n for n, _ in TAPE_OPS])
+    def test_grad_fn_never_writes_upstream_gradient(self, build):
+        rng = np.random.default_rng(0)
+        out = build(rng)
+        g = rng.standard_normal(out.shape)
+        g.flags.writeable = False
+        assert len(out._grad_fn(g)) == len(out._parents)
+
+    def test_attention_tape_holds_no_frames_by_frames_node(self):
+        rng = np.random.default_rng(1)
+        frames, dim, heads = 7, 8, 2
+        x = _leaf(rng, frames, dim)
+        params = {k: Tensor(rng.standard_normal(v.shape), requires_grad=True)
+                  for k, v in _identity_mha_params(dim).items()}
+        out = multi_head_attention(x, heads, **params)
+        seen, todo = set(), [out]
+        while todo:
+            node = todo.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            assert node.data.shape != (heads, frames, frames)
+            todo.extend(node._parents)
+        assert id(x) in seen
