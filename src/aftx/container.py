@@ -72,12 +72,20 @@ def load_container(path) -> list[Entry]:
         raise FormatError(f"{path}: manifest is not a list of entries")
     start = 9 + mlen
     entries: list[Entry] = []
+    names: set[str] = set()
     for item in manifest:
         try:
             name, shape = item["name"], tuple(item["shape"])
             offset, trainable = item["offset"], item["trainable"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: manifest entry {item!r} lacks a field") from exc
+        if not isinstance(name, str):
+            raise FormatError(f"{path}: entry name {name!r} is not a string")
+        if name in names:
+            raise FormatError(f"{path}: entry name {name!r} appears twice")
+        names.add(name)
+        if not isinstance(trainable, bool):
+            raise FormatError(f"{path}: entry {name!r} has a non-bool trainable {trainable!r}")
         if not all(_is_count(n) for n in shape) or not _is_count(offset):
             raise FormatError(f"{path}: entry {name!r} has a bad shape {shape} or offset {offset!r}")
         count = math.prod(shape)
@@ -85,7 +93,7 @@ def load_container(path) -> list[Entry]:
             raise FormatError(f"{path}: payload truncated for entry {name!r}")
         # astype copies, so no entry keeps the whole file alive
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start + offset)
-        entries.append((name, arr.astype(np.float64).reshape(shape), bool(trainable)))
+        entries.append((name, arr.astype(np.float64).reshape(shape), trainable))
     return entries
 
 

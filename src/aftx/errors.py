@@ -42,6 +42,10 @@ class MissingGrad(AftxError):
     """A trainable parameter has no gradient at optimizer-step time."""
 
 
+class NonFinite(AftxError):
+    """A logit, gradient or correlation input is NaN or infinite."""
+
+
 # --- audio / augmentation ---
 
 class UnknownKind(AftxError):

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import LabelError, ShapeError, UndefinedCorrelation, UndefinedRecall
+from .errors import LabelError, NonFinite, ShapeError, UndefinedCorrelation, UndefinedRecall
 from .corpus import TRAITS
 
 
@@ -51,11 +51,14 @@ def uar(cm: ConfusionMatrix) -> float:
 
 
 def phi(x, y) -> float:
-    """Phi coefficient of two binary vectors via the 2x2 contingency table."""
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
+    """Phi coefficient of two binary vectors via the 2x2 contingency table;
+    every label must be 0 or 1."""
+    x, y = np.asarray(x), np.asarray(y)
     if x.shape != y.shape:
         raise ShapeError("phi needs equal-length vectors")
+    for name, v in (("x", x), ("y", y)):
+        if not np.isin(v, (0, 1)).all():
+            raise LabelError(f"phi: {name} holds labels other than 0 and 1")
     n11 = int(((x == 1) & (y == 1)).sum())
     n10 = int(((x == 1) & (y == 0)).sum())
     n01 = int(((x == 0) & (y == 1)).sum())
@@ -74,6 +77,8 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ShapeError("pearson needs two equal-length vectors")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFinite("pearson got a non-finite input")
     if len(x) < 2:
         raise UndefinedCorrelation("pearson needs at least two samples")
     xc = x - x.mean()

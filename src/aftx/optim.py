@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingGrad
+from .errors import MissingGrad, NonFinite
 from .tensor import Parameter
 
 
@@ -32,18 +32,23 @@ class AdamW:
     def step(self) -> None:
         """Apply one update to every trainable parameter.
 
-        Raises MissingGrad if a trainable parameter has no gradient.
+        Raises MissingGrad if a trainable parameter has no gradient, and
+        NonFinite if a gradient holds NaN or inf.  Both are checked before
+        anything is updated, so a failed step leaves the optimizer as it was.
         """
+        trainable = [(name, p) for name, p in self.params.items() if p.trainable]
+        for name, p in trainable:
+            g = p.tensor.grad
+            if g is None:
+                raise MissingGrad(f"trainable parameter {name!r} has no gradient")
+            if not np.isfinite(g).all():
+                raise NonFinite(f"trainable parameter {name!r} has a non-finite gradient")
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
-        for name, p in self.params.items():
-            if not p.trainable:
-                continue
+        for name, p in trainable:
             g = p.tensor.grad
-            if g is None:
-                raise MissingGrad(f"trainable parameter {name!r} has no gradient")
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)

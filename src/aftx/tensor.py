@@ -19,6 +19,7 @@ from .errors import (
     InputTooShort,
     InvalidProbability,
     LabelError,
+    NonFinite,
     ShapeError,
     StaleGraph,
 )
@@ -431,6 +432,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         raise LabelError(f"labels must lie in [0, {c}), got range "
                          f"[{labels.min()}, {labels.max()}]")
+    if not np.isfinite(z).all():
+        raise NonFinite("softmax_cross_entropy got non-finite logits")
 
     shifted = z - z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))

@@ -1,5 +1,7 @@
 """Spectrogram masking and augmentation accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,65 @@ class TestAugmentCorpus:
         for (sa, ta), (sb, tb) in zip(a, b):
             assert sa.values.tobytes() == sb.values.tobytes()
             assert ta == tb
+
+
+class TestLazyVariants:
+    """Variants are recipes masked on read, equal to the eager ``apply_mask``."""
+
+    def make_clips(self, n, mel_bins=24, frames=90):
+        rng = np.random.default_rng(8)
+        return [random_spec(rng, mel_bins, frames, source_id=f"clip{idx:04d}")
+                for idx in range(n)]
+
+    @pytest.mark.parametrize("num_masks", [1, 2])
+    def test_equals_apply_mask_replayed_from_provenance(self, num_masks):
+        clips = self.make_clips(5)
+        by_id = {c.source_id: c for c in clips}
+        out = augment_corpus(clips, plan=MASK_KINDS, max_freq_width=6, max_time_width=15,
+                             num_masks_per_axis=num_masks, seed=3)
+        kinds = set()
+        for variant, tag in out[len(clips):]:
+            source = by_id[tag.source_id]
+            replay = apply_mask(source, MaskSpec(tag.kind, 6, 15, num_masks, tag.seed))
+            values = variant.values
+            assert values.tobytes() == replay.values.tobytes()
+            assert values.flags.c_contiguous
+            assert (variant.source_id, variant.mel_bins, variant.frames) == \
+                (source.source_id, source.mel_bins, source.frames)
+            kinds.add(tag.kind)
+        assert kinds == set(MASK_KINDS)
+
+    def test_each_read_is_a_fresh_equal_array(self):
+        clips = self.make_clips(2)
+        sources = [c.values.copy() for c in clips]
+        out = augment_corpus(clips, seed=5)
+        for variant, _ in out[2:]:
+            first = variant.values
+            expected = first.copy()
+            assert variant.values.tobytes() == expected.tobytes()
+            first[:] = 123.0
+            assert variant.values.tobytes() == expected.tobytes()
+        for clip, before in zip(clips, sources):
+            assert clip.values.tobytes() == before.tobytes()
+
+    def test_mask_too_large_raises_at_call_time(self):
+        clips = self.make_clips(2, frames=90)
+        with pytest.raises(MaskTooLarge):
+            augment_corpus(clips, max_time_width=90, seed=0)
+        with pytest.raises(MaskTooLarge):
+            augment_corpus(clips, max_freq_width=24, seed=0)
+
+    def test_augmenting_allocates_less_than_one_clip(self):
+        # 64 clips of paper shape make 192 variants; an eager copy of them
+        # would allocate 117 MiB, a recipe each a few hundred bytes
+        rng = np.random.default_rng(9)
+        clips = [random_spec(rng, 80, 998, source_id=f"clip{idx:04d}") for idx in range(64)]
+        one_clip = clips[0].values.nbytes
+        tracemalloc.start()
+        try:
+            out = augment_corpus(clips, seed=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 4 * 64
+        assert peak < one_clip, f"augment_corpus peaked at {peak} B, one clip is {one_clip} B"

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from aftx.errors import LabelError, ShapeError, UndefinedCorrelation, UndefinedRecall
+from aftx.errors import (
+    LabelError,
+    NonFinite,
+    ShapeError,
+    UndefinedCorrelation,
+    UndefinedRecall,
+)
 from aftx.metrics import (
     ConfusionMatrix,
     CorrelationEntry,
@@ -163,6 +169,15 @@ class TestPhi:
         with pytest.raises(ShapeError):
             phi([0, 1, 1], [0, 1])
 
+    @pytest.mark.parametrize("x, y", [
+        ([0, 1, 2, 1, 0], [0, 1, 1, 1, 0]),
+        ([0.7, 1, 0, 1], [0, 1, 0, 1]),
+        ([0, 1, 0, 1], [0, 1, 0, -1]),
+    ])
+    def test_labels_outside_0_1_rejected(self, x, y):
+        with pytest.raises(LabelError):
+            phi(x, y)
+
 
 class TestPearson:
     def test_affine(self):
@@ -194,6 +209,14 @@ class TestPearson:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ShapeError):
             pearson([0.0, 1.0, 2.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 2.0, np.nan], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0]),
+    ])
+    def test_non_finite_rejected(self, x, y):
+        with pytest.raises(NonFinite):
+            pearson(x, y)
 
 
 class TestTraitPairTable:

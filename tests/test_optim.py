@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aftx.errors import MissingGrad
+from aftx.errors import MissingGrad, NonFinite
 from aftx.optim import AdamW
 from aftx.tensor import Parameter, Tensor, backward, tsum
 
@@ -46,6 +46,28 @@ class TestAdamWStep:
         p = make_param([1.0])
         with pytest.raises(MissingGrad):
             AdamW({"p": p}).step()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grad_leaves_state_unchanged(self, bad):
+        # "a" is stepped before "b" in dict order, so a check made inside the
+        # update loop would already have moved "a" when "b" raises
+        a, b = make_param([0.5, -0.5], name="a"), make_param([1.0], name="b")
+        opt = AdamW({"a": a, "b": b}, lr=0.1, weight_decay=0.01)
+        a.tensor.grad, b.tensor.grad = np.array([1.0, 2.0]), np.array([3.0])
+        opt.step()
+        before = (opt.step_count, a.data.copy(), b.data.copy(),
+                  {k: v.copy() for k, v in opt.m.items()},
+                  {k: v.copy() for k, v in opt.v.items()})
+        b.tensor.grad = np.array([bad])
+        with pytest.raises(NonFinite):
+            opt.step()
+        assert opt.step_count == before[0]
+        assert a.data.tobytes() == before[1].tobytes()
+        assert b.data.tobytes() == before[2].tobytes()
+        for moments, saved in ((opt.m, before[3]), (opt.v, before[4])):
+            assert moments.keys() == saved.keys()
+            for k in saved:
+                assert moments[k].tobytes() == saved[k].tobytes()
 
     def test_matches_scalar_reference(self):
         # independent scalar recurrence for a short schedule

@@ -12,6 +12,7 @@ from aftx.errors import (
     InputTooShort,
     InvalidProbability,
     LabelError,
+    NonFinite,
     OddDimension,
     ShapeError,
     StaleGraph,
@@ -254,6 +255,11 @@ class TestSoftmaxCrossEntropy:
     def test_empty_batch(self):
         with pytest.raises(ShapeError):
             softmax_cross_entropy(Tensor(np.zeros((0, 2))), [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits(self, bad):
+        with pytest.raises(NonFinite):
+            softmax_cross_entropy(Tensor([[bad, 1.0]]), [0])
 
 
 class TestDropout:
