@@ -27,12 +27,25 @@ Entry = tuple[str, np.ndarray, bool]
 
 
 def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> None:
-    """Write ``entries`` (name, float64 array, trainable flag) to ``path``."""
+    """Write ``entries`` (name, float64 array, trainable flag) to ``path``.
+
+    Raises FormatError, before anything is written, for an entry that
+    ``load_container`` would reject: a non-string or repeated name, or a
+    non-bool trainable flag.
+    """
     path = Path(path)
     manifest = []
     chunks = []
     offset = 0
+    names: set[str] = set()
     for name, arr, trainable in entries:
+        if not isinstance(name, str):
+            raise FormatError(f"{path}: entry name {name!r} is not a string")
+        if name in names:
+            raise FormatError(f"{path}: entry name {name!r} appears twice")
+        names.add(name)
+        if not isinstance(trainable, (bool, np.bool_)):
+            raise FormatError(f"{path}: entry {name!r} has a non-bool trainable {trainable!r}")
         raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
         manifest.append({
             "name": name,

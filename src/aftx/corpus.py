@@ -126,8 +126,8 @@ def binarize_majority(scores: JudgeScores, majority: int | None = None) -> np.nd
     m = scores.matrix
     if majority is None:
         majority = default_majority(m.shape[0])
-    if majority > m.shape[0]:
-        raise InvalidMajority(f"majority {majority} > {m.shape[0]} judges")
+    if not 1 <= majority <= m.shape[0]:
+        raise InvalidMajority(f"majority {majority} is outside 1..{m.shape[0]} judges")
     reference = m.mean(axis=1, keepdims=True)   # one mean per judge
     votes = (m > reference).sum(axis=0)
     return (votes >= majority).astype(np.int8)
@@ -172,6 +172,8 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
     assigns whole speakers to the currently smallest fold, so the size
     invariant holds only as far as speaker clip counts allow.
     """
+    if num_folds < 2:
+        raise InputTooShort(f"need at least 2 folds to hold one out, got {num_folds}")
     if len(clips) < num_folds:
         raise InputTooShort(f"need at least {num_folds} clips, got {len(clips)}")
     labels = {}

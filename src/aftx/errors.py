@@ -13,7 +13,7 @@ class ShapeError(AftxError):
 
 
 class InputTooShort(AftxError):
-    """Input sequence is shorter than the operation's minimum length."""
+    """Input sequence or count is below the operation's minimum."""
 
 
 class OddDimension(AftxError):
@@ -71,7 +71,7 @@ class SchemaError(AftxError):
 
 
 class InvalidMajority(AftxError):
-    """Majority threshold exceeds the number of judges."""
+    """Majority threshold is outside 1..judges."""
 
 
 class MissingAnnotation(AftxError):

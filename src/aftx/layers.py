@@ -11,17 +11,7 @@ import math
 import numpy as np
 
 from .errors import HeadMismatch, OddDimension, ShapeError
-from .tensor import (
-    Tensor,
-    add,
-    as_tensor,
-    attention,
-    layer_norm,
-    matmul,
-    relu,
-    reshape,
-    transpose,
-)
+from .tensor import Tensor, add_layer_norm, affine, attention, relu, reshape, transpose
 
 
 def positional_encoding(num_frames: int, dim: int) -> Tensor:
@@ -43,15 +33,9 @@ def positional_encoding(num_frames: int, dim: int) -> Tensor:
     return Tensor(table)
 
 
-def linear(x: Tensor, weight, bias=None) -> Tensor:
-    """x @ weight (+ bias).  Weight is [d_in, d_out]; x is [..., d_in]."""
-    w = as_tensor(weight)
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear expects input dim {w.shape[0]}, got {x.shape[-1]}")
-    out = matmul(x, w) if x.data.ndim > 1 else reshape(matmul(reshape(x, (1, -1)), w), (w.shape[1],))
-    if bias is not None:
-        out = add(out, bias)
-    return out
+def linear(x: Tensor, weight, bias) -> Tensor:
+    """x @ weight + bias.  Weight is [d_in, d_out]; x is [d_in] or [rows, d_in]."""
+    return affine(x, weight, bias)
 
 
 def multi_head_attention(
@@ -99,7 +83,4 @@ def feed_forward(x: Tensor, w1, b1, w2, b2) -> Tensor:
 
 def layer_norm_residual(x: Tensor, sublayer_out: Tensor, gain, bias) -> Tensor:
     """Add the sublayer input to its output, then normalize each frame."""
-    if x.shape != sublayer_out.shape:
-        raise ShapeError(
-            f"residual shapes differ: {x.shape} vs {sublayer_out.shape}")
-    return layer_norm(add(x, sublayer_out), gain, bias)
+    return add_layer_norm(x, sublayer_out, gain, bias)

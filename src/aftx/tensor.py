@@ -4,9 +4,11 @@ The engine is a plain tape: every operation that involves a tensor with
 ``requires_grad`` records its parents and a closure that maps the output
 gradient to parent gradients.  ``backward`` walks the tape in reverse
 topological order.  A ``grad_fn`` returns ``None`` for a parent that does
-not require grad, and skips computing that gradient.  Only the operators
-the bundled speech models need are implemented; there is no GPU path and
-no broadcasting beyond what bias addition requires.
+not require grad, and skips computing that gradient.  A layer's bias and
+its residual sum are folded into the op that makes them (``affine``,
+``add_layer_norm``), so the tape keeps only arrays that a backward reads.
+Only the operators the bundled speech models need are implemented; there is
+no GPU path and no broadcasting beyond what bias addition requires.
 """
 
 from __future__ import annotations
@@ -171,6 +173,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (a, b), grad_fn)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one tape op: ``x`` is [d_in] or [rows, d_in], ``w``
+    [d_in, d_out] and ``b`` [d_out].  The bias is added in place, so no
+    pre-bias product outlives the forward."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim not in (1, 2) or w.data.ndim != 2:
+        raise ShapeError(f"affine expects x [d_in] or [rows, d_in] and w [d_in, d_out], "
+                         f"got {x.shape}, {w.shape}")
+    d_in, d_out = w.shape
+    if x.shape[-1] != d_in:
+        raise ShapeError(f"affine expects input dim {d_in}, got {x.shape[-1]}")
+    if b.shape != (d_out,):
+        raise ShapeError(f"affine bias must have shape ({d_out},), got {b.shape}")
+    x2 = x.data.reshape(-1, d_in)
+    data = x2 @ w.data
+    data += b.data
+
+    def grad_fn(g):
+        g2 = g.reshape(-1, d_out)
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        gb = g2.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _from_op(data.reshape(x.shape[:-1] + (d_out,)), (x, w, b), grad_fn)
+
+
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     mask = x.data > 0
@@ -229,6 +258,8 @@ def tmean(x: Tensor, axis=None) -> Tensor:
 def stack(tensors, axis: int = 0) -> Tensor:
     """Stack same-shape tensors along a new axis (used to batch clip logits)."""
     tensors = [as_tensor(t) for t in tensors]
+    if not tensors:
+        raise ShapeError("stack needs at least one tensor")
     base = tensors[0].shape
     if any(t.shape != base for t in tensors):
         raise ShapeError("stack needs tensors of identical shape")
@@ -378,37 +409,45 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
     return _from_op(data, parents, grad_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row of ``x`` (last axis) to zero mean, unit variance,
-    then apply an elementwise affine ``gain * xhat + bias``.
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-5) -> Tensor:
+    """Normalize each row (last axis) of the residual sum ``x + y`` to zero
+    mean, unit variance, then apply an elementwise affine ``gain * xhat + bias``.
 
     Variance is the population variance and ``eps`` sits inside the square
-    root, so constant rows map to zero rather than NaN.
+    root, so constant rows map to zero rather than NaN.  The sum is
+    normalized in place, so the tape keeps only ``xhat`` and the row scales;
+    ``x`` and ``y`` receive the same gradient array.
     """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    x, y, gain, bias = as_tensor(x), as_tensor(y), as_tensor(gain), as_tensor(bias)
+    if x.shape != y.shape:
+        raise ShapeError(f"residual shapes differ: {x.shape} vs {y.shape}")
+    if x.data.ndim == 0:
+        raise ShapeError("layer norm needs operands of rank >= 1")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    data = gain.data * xhat + bias.data
+        raise ShapeError(f"layer norm affine params must have shape ({d},)")
+    xhat = x.data + y.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
+    data = gain.data * xhat
+    data += bias.data
 
     def grad_fn(g):
-        reduce_axes = tuple(range(x.data.ndim - 1))
-        ggain = (g * xhat).sum(axis=reduce_axes)
-        gbias = g.sum(axis=reduce_axes)
-        gxhat = g * gain.data
-        gx = inv_std * (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return gx, ggain, gbias
+        reduce_axes = tuple(range(g.ndim - 1))
+        ggain = (g * xhat).sum(axis=reduce_axes) if gain.requires_grad else None
+        gbias = g.sum(axis=reduce_axes) if bias.requires_grad else None
+        gx = None
+        if x.requires_grad or y.requires_grad:
+            gxhat = g * gain.data
+            gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
+            gx -= xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+            gx *= inv_std
+        return (gx if x.requires_grad else None, gx if y.requires_grad else None,
+                ggain, gbias)
 
-    return _from_op(data, (x, gain, bias), grad_fn)
+    return _from_op(data, (x, y, gain, bias), grad_fn)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -423,7 +462,12 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     z = logits.data[None, :] if squeeze else logits.data
     if z.ndim != 2:
         raise ShapeError(f"logits must be [batch, classes], got {logits.shape}")
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    raw = np.atleast_1d(np.asarray(labels))
+    if raw.dtype.kind not in "biuf" or (
+            raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.round(raw))).all()):
+        raise LabelError(f"labels must be integral class ids, got {raw.dtype} values "
+                         f"that are not all integers")
+    labels = raw.astype(np.int64)
     n, c = z.shape
     if n == 0:
         raise ShapeError("softmax_cross_entropy needs a non-empty batch")

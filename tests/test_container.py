@@ -89,6 +89,20 @@ def test_malformed_manifest_rejected(tmp_path, manifest):
         load_container(path)
 
 
+@pytest.mark.parametrize("entries", [
+    [("a", np.zeros(2), True), ("a", np.ones(2), True)],
+    [(3, np.zeros(2), True)],
+    [("a", np.zeros(2), "false")],
+    [("a", np.zeros(2), 1)],
+], ids=["duplicate", "non_string_name", "string_trainable", "int_trainable"])
+def test_writer_rejects_what_the_reader_rejects(tmp_path, entries):
+    path = tmp_path / "bad.aftx"
+    path.write_bytes(b"old")
+    with pytest.raises(FormatError):
+        save_container(path, entries)
+    assert path.read_bytes() == b"old"
+
+
 def test_entries_read_at_offsets_and_writable(tmp_path):
     path = tmp_path / "two.aftx"
     payload = np.arange(6.0).tobytes()

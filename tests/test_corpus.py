@@ -92,6 +92,12 @@ class TestBinarizeMajority:
         with pytest.raises(InvalidMajority):
             binarize_majority(sc, majority=7)
 
+    @pytest.mark.parametrize("majority", [0, -1])
+    def test_majority_below_one(self, majority):
+        sc = scores_from_matrix(np.ones((6, 5)))
+        with pytest.raises(InvalidMajority):
+            binarize_majority(sc, majority=majority)
+
 
 class TestSegmentRecording:
     def test_five_minutes_makes_thirty_clips(self):
@@ -218,6 +224,11 @@ class TestMakeFolds:
     def test_fewer_clips_than_folds(self):
         with pytest.raises(InputTooShort):
             make_folds(make_clips([0, 1, 0, 1]), "EX", seed=0)
+
+    @pytest.mark.parametrize("num_folds", [0, 1])
+    def test_fewer_than_two_folds(self, num_folds):
+        with pytest.raises(InputTooShort):
+            make_folds(make_clips([0, 1] * 5), "EX", seed=0, num_folds=num_folds)
 
     def test_missing_trait_label(self):
         with pytest.raises(LabelError):

@@ -13,11 +13,12 @@ from aftx.layers import feed_forward, layer_norm_residual, multi_head_attention
 from aftx.tensor import (
     Tensor,
     add,
+    add_layer_norm,
+    affine,
     attention,
     backward,
     conv1d,
     dropout,
-    layer_norm,
     matmul,
     mul,
     relu,
@@ -161,6 +162,22 @@ class TestConstantOperands:
         def case(rng, seed):
             check_constant_operands(lambda q, k, v: attention(q, k, v)[0], _attention_numpy,
                                     _attention_operands(rng), constant, rng, seed)
+        run_instances(case)
+
+
+    @pytest.mark.parametrize("x_shape", [(4,), (5, 4)])
+    @pytest.mark.parametrize("constant", [{0}, {1}, {2}, {1, 2}])
+    def test_affine(self, x_shape, constant):
+        def case(rng, seed):
+            check_constant_operands(affine, lambda x, w, b: x @ w + b,
+                                    _affine_operands(rng, x_shape), constant, rng, seed)
+        run_instances(case)
+
+    @pytest.mark.parametrize("constant", [{0}, {1}, {0, 1}, {2, 3}])
+    def test_add_layer_norm(self, constant):
+        def case(rng, seed):
+            check_constant_operands(add_layer_norm, _layer_norm_numpy,
+                                    _norm_operands(rng), constant, rng, seed)
         run_instances(case)
 
 
@@ -318,23 +335,52 @@ class TestConvConstantOperands:
         run_instances(case)
 
 
+def _layer_norm_numpy(x, y, gain, bias):
+    """Independent numpy layer norm of the residual sum, the FD forward."""
+    s = x + y
+    mu = s.mean(axis=-1, keepdims=True)
+    var = ((s - mu) ** 2).mean(axis=-1, keepdims=True)
+    return gain * (s - mu) / np.sqrt(var + 1e-5) + bias
+
+
+def _norm_operands(rng):
+    return [rng.standard_normal((4, 6)), rng.standard_normal((4, 6)),
+            rng.standard_normal(6), rng.standard_normal(6)]
+
+
 class TestNormGrad:
     def test_layer_norm_all_arguments(self):
         def case(rng, seed):
-            x = rng.standard_normal((4, 6))
-            gain = rng.standard_normal(6)
-            bias = rng.standard_normal(6)
+            arrays = _norm_operands(rng)
             r = projection(rng, (4, 6))
 
-            def loss(x_, g_, b_, as_tensors=False):
+            def loss(x_, y_, g_, b_, as_tensors=False):
                 if as_tensors:
-                    return tsum(layer_norm(x_, g_, b_) * Tensor(r))
-                mu = x_.mean(axis=-1, keepdims=True)
-                var = ((x_ - mu) ** 2).mean(axis=-1, keepdims=True)
-                xhat = (x_ - mu) / np.sqrt(var + 1e-5)
-                return float(((g_ * xhat + b_) * r).sum())
+                    return tsum(add_layer_norm(x_, y_, g_, b_) * Tensor(r))
+                return float((_layer_norm_numpy(x_, y_, g_, b_) * r).sum())
 
-            check_op(loss, [x, gain, bias], seed)
+            check_op(loss, arrays, seed)
+        run_instances(case)
+
+
+def _affine_operands(rng, x_shape):
+    return [rng.standard_normal(x_shape), rng.standard_normal((4, 3)),
+            rng.standard_normal(3)]
+
+
+class TestAffineGrad:
+    @pytest.mark.parametrize("x_shape", [(4,), (5, 4)])
+    def test_affine_all_operands(self, x_shape):
+        def case(rng, seed):
+            arrays = _affine_operands(rng, x_shape)
+            r = projection(rng, x_shape[:-1] + (3,))
+
+            def loss(x_, w_, b_, as_tensors=False):
+                if as_tensors:
+                    return tsum(affine(x_, w_, b_) * Tensor(r))
+                return float(((x_ @ w_ + b_) * r).sum())
+
+            check_op(loss, arrays, seed)
         run_instances(case)
 
 
