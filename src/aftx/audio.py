@@ -4,7 +4,7 @@ WAV parsing is hand-rolled over the RIFF chunk layout so malformed headers
 and unsupported codecs raise distinct, precise errors.  Supported payloads:
 16-bit PCM and 32/64-bit IEEE float, mono or stereo.  Everything is
 resampled to the canonical 16 kHz by linear interpolation and peak-limited
-to [-1, 1].
+to [-1, 1]; a float payload with NaN or infinite samples is rejected.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputTooShort, UnsupportedCodec
+from .errors import FormatError, InputTooShort, NonFinite, ShapeError, UnsupportedCodec
 
 SAMPLE_RATE = 16_000
 
@@ -118,6 +118,9 @@ def load_wav(path) -> Waveform:
     if channels < 1 or rate < 1:
         raise FormatError(f"{path}: nonsensical fmt fields")
     x = _decode_samples(data, fmt, channels, bits)
+    # min and max propagate NaN and infinity, with no temporary of the clip's size
+    if len(x) and not np.isfinite([x.min(), x.max()]).all():
+        raise NonFinite(f"{path}: samples include NaN or infinity")
     x = resample_linear(x, rate, SAMPLE_RATE)
     peak = np.max(np.abs(x)) if len(x) else 0.0
     if peak > 1.0:
@@ -180,6 +183,10 @@ def log_mel(w: Waveform, mel_bins: int = 80, frame_length_ms: float = 25.0,
     x = np.asarray(w.samples, dtype=np.float64)
     frame_length = int(round(w.sample_rate * frame_length_ms / 1000.0))
     frame_shift = int(round(w.sample_rate * frame_shift_ms / 1000.0))
+    if mel_bins < 1 or frame_length < 1 or frame_shift < 1:
+        raise ShapeError(f"log_mel needs at least one mel bin and one-sample frames and "
+                         f"hops, got {mel_bins} bins, {frame_length}-sample frames, "
+                         f"{frame_shift}-sample hops")
     if len(x) < frame_length:
         raise InputTooShort(
             f"waveform of {len(x)} samples is shorter than one {frame_length}-sample frame")

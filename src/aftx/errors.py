@@ -21,7 +21,7 @@ class OddDimension(AftxError):
 
 
 class HeadMismatch(AftxError):
-    """Model dimension is not divisible by the number of attention heads."""
+    """The head count is not a positive integer that divides the model dimension."""
 
 
 class LabelError(AftxError, KeyError):
@@ -34,8 +34,13 @@ class InvalidProbability(AftxError):
     """Dropout probability must satisfy 0 <= p < 1."""
 
 
+class NotReal(AftxError):
+    """Tensor data is not real numbers: complex values, strings or objects."""
+
+
 class StaleGraph(AftxError):
-    """backward() was called twice on the same recorded forward pass."""
+    """backward() reached a graph node that an earlier backward consumed, or
+    its loss depends on nothing that requires grad."""
 
 
 class MissingGrad(AftxError):
@@ -43,7 +48,7 @@ class MissingGrad(AftxError):
 
 
 class NonFinite(AftxError):
-    """A logit, gradient or correlation input is NaN or infinite."""
+    """A logit, gradient, correlation input or WAV sample is NaN or infinite."""
 
 
 # --- audio / augmentation ---

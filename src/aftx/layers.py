@@ -54,6 +54,8 @@ def multi_head_attention(
     frames] is returned alongside (as a plain array; rows sum to one).
     """
     dim = x.shape[-1]
+    if not isinstance(num_heads, (int, np.integer)) or num_heads < 1:
+        raise HeadMismatch(f"attention needs a positive whole number of heads, got {num_heads!r}")
     if dim % num_heads != 0:
         raise HeadMismatch(f"model dim {dim} is not divisible by {num_heads} heads")
     head_dim = dim // num_heads

@@ -1,27 +1,39 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is a plain tape: every operation that involves a tensor with
-``requires_grad`` records its parents and a closure that maps the output
-gradient to parent gradients.  ``backward`` walks the tape in reverse
-topological order.  A ``grad_fn`` returns ``None`` for a parent that does
-not require grad, and skips computing that gradient.  A layer's bias and
-its residual sum are folded into the op that makes them (``affine``,
-``add_layer_norm``), so the tape keeps only arrays that a backward reads.
-Only the operators the bundled speech models need are implemented; there is
-no GPU path and no broadcasting beyond what bias addition requires.
+The engine is a plain tape.  Every operation that involves a tensor with
+``requires_grad`` gives its output a node: the tape entries of its parents
+and a closure, ``grad_fn``, that maps the output gradient to parent
+gradients.  A ``grad_fn`` returns ``None`` for a parent that does not
+require grad, and skips computing that gradient.
+
+A closure captures arrays and flags, never a Tensor, and what it saves is
+fixed when the op is recorded: only the arrays its backward reads for the
+parents that require grad (``mul`` keeps ``b`` only when ``a`` requires
+grad, ``relu`` keeps only its mask).  So an intermediate Tensor that the
+forward code drops frees its data unless a backward reads it.  A layer's
+bias and its residual sum are folded into the op that makes them
+(``affine``, ``add_layer_norm``), so no pre-bias product or residual sum is
+made to be kept.
+
+``backward`` consumes the graph it walks: it releases each node's parents
+and closure once it has used them, so saved arrays are freed as the walk
+passes them, and a later backward that reaches a consumed node raises
+StaleGraph.  Only the operators the bundled speech models need are
+implemented; there is no GPU path and no broadcasting beyond what bias
+addition requires.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import (
     InputTooShort,
     InvalidProbability,
     LabelError,
     NonFinite,
+    NotReal,
     ShapeError,
     StaleGraph,
 )
@@ -31,18 +43,23 @@ class Tensor:
     """A numpy float64 array plus the bookkeeping reverse mode needs.
 
     ``grad`` is populated by :func:`backward` on tensors that require
-    gradients.  Intermediate gradients are not retained.
+    gradients.  Intermediate gradients are not retained.  A tensor made by a
+    recorded op holds that op's ``_node``; a leaf's ``_node`` is None.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_done")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        try:
+            arr = np.asarray(data)
+        except ValueError as exc:
+            raise ShapeError(f"tensor data is not a rectangular array: {exc}") from exc
+        if arr.dtype.kind not in "biuf":
+            raise NotReal(f"tensor data must be real numbers, got dtype {arr.dtype}")
+        self.data = arr.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._grad_fn = None
-        self._done = False
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -94,19 +111,42 @@ class Tensor:
         return tmean(self, axis)
 
 
+class _Node:
+    """One recorded op: a tape entry per parent and the op's ``grad_fn``.
+
+    A parent's entry is its node, the parent itself when it is a leaf that
+    requires grad, or None for a constant.  ``backward`` empties both fields
+    and sets ``done`` once it has called ``grad_fn``."""
+
+    __slots__ = ("parents", "grad_fn", "done")
+
+    def __init__(self, parents: tuple, grad_fn):
+        self.parents = parents
+        self.grad_fn = grad_fn
+        self.done = False
+
+
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return Tensor(x)
 
 
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._grad_fn = grad_fn
+        out._node = _Node(tuple((p if p._node is None else p._node) if p.requires_grad
+                                else None for p in parents), grad_fn)
     return out
+
+
+def _axis(axis, ndim: int, op: str) -> int:
+    """``axis`` of an ``ndim``-dimensional operand as an index in [0, ndim)."""
+    try:
+        return normalize_axis_index(axis, ndim)
+    except (TypeError, np.exceptions.AxisError) as exc:
+        raise ShapeError(f"{op}: no axis {axis!r} in {ndim} dimensions") from exc
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -132,10 +172,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError as exc:
         raise ShapeError(f"cannot add {a.shape} and {b.shape}") from exc
+    a_shape = a.shape if a.requires_grad else None
+    b_shape = b.shape if b.requires_grad else None
 
     def grad_fn(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (None if a_shape is None else _unbroadcast(g, a_shape),
+                None if b_shape is None else _unbroadcast(g, b_shape))
 
     return _from_op(data, (a, b), grad_fn)
 
@@ -146,10 +188,14 @@ def mul(a: Tensor, b) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise ShapeError(f"cannot multiply {a.shape} and {b.shape}") from exc
+    a_shape, b_shape = a.shape, b.shape
+    # each factor is kept only for the other operand's gradient
+    b_data = b.data if a.requires_grad else None
+    a_data = a.data if b.requires_grad else None
 
     def grad_fn(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return _from_op(data, (a, b), grad_fn)
 
@@ -164,10 +210,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
+    b_data = b.data if a.requires_grad else None
+    a_data = a.data if b.requires_grad else None
 
     def grad_fn(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
+        ga = None if b_data is None else np.matmul(g, np.swapaxes(b_data, -1, -2))
+        gb = None if a_data is None else np.matmul(np.swapaxes(a_data, -1, -2), g)
         return ga, gb
 
     return _from_op(data, (a, b), grad_fn)
@@ -189,12 +237,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x2 = x.data.reshape(-1, d_in)
     data = x2 @ w.data
     data += b.data
+    x_shape, b_grad = x.shape, b.requires_grad
+    w_data = w.data if x.requires_grad else None
+    x2 = x2 if w.requires_grad else None
 
     def grad_fn(g):
         g2 = g.reshape(-1, d_out)
-        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = x2.T @ g2 if w.requires_grad else None
-        gb = g2.sum(axis=0) if b.requires_grad else None
+        gx = None if w_data is None else (g2 @ w_data.T).reshape(x_shape)
+        gw = None if x2 is None else x2.T @ g2
+        gb = g2.sum(axis=0) if b_grad else None
         return gx, gw, gb
 
     return _from_op(data.reshape(x.shape[:-1] + (d_out,)), (x, w, b), grad_fn)
@@ -213,17 +264,25 @@ def relu(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     old = x.shape
+    try:
+        data = x.data.reshape(shape)
+    except (ValueError, TypeError) as exc:
+        raise ShapeError(f"cannot reshape {old} to {shape}") from exc
 
     def grad_fn(g):
         return (g.reshape(old),)
 
-    return _from_op(x.data.reshape(shape), (x,), grad_fn)
+    return _from_op(data, (x,), grad_fn)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
     x = as_tensor(x)
+    ndim = x.data.ndim
     if axes is None:
-        axes = tuple(reversed(range(x.data.ndim)))
+        axes = tuple(reversed(range(ndim)))
+    axes = tuple(_axis(a, ndim, "transpose") for a in axes)
+    if sorted(axes) != list(range(ndim)):
+        raise ShapeError(f"transpose axes {axes} are not a permutation of {ndim} axes")
     inverse = np.argsort(axes)
 
     def grad_fn(g):
@@ -234,23 +293,29 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 def tsum(x: Tensor, axis=None) -> Tensor:
     x = as_tensor(x)
+    shape = x.shape
+    if axis is not None:
+        axis = _axis(axis, x.data.ndim, "tsum")
 
     def grad_fn(g):
         if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _from_op(x.data.sum(axis=axis), (x,), grad_fn)
 
 
 def tmean(x: Tensor, axis=None) -> Tensor:
     x = as_tensor(x)
-    count = x.data.size if axis is None else x.shape[axis]
+    shape = x.shape
+    if axis is not None:
+        axis = _axis(axis, x.data.ndim, "tmean")
+    count = x.data.size if axis is None else shape[axis]
 
     def grad_fn(g):
         if axis is None:
-            return (np.broadcast_to(g / count, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / count, x.shape).copy(),)
+            return (np.broadcast_to(g / count, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / count, shape).copy(),)
 
     return _from_op(x.data.mean(axis=axis), (x,), grad_fn)
 
@@ -263,10 +328,12 @@ def stack(tensors, axis: int = 0) -> Tensor:
     base = tensors[0].shape
     if any(t.shape != base for t in tensors):
         raise ShapeError("stack needs tensors of identical shape")
+    axis = _axis(axis, len(base) + 1, "stack")
     data = np.stack([t.data for t in tensors], axis=axis)
+    count = len(tensors)
 
     def grad_fn(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+        return tuple(np.take(g, i, axis=axis) for i in range(count))
 
     return _from_op(data, tuple(tensors), grad_fn)
 
@@ -284,6 +351,7 @@ def _softmax_into(x: np.ndarray, out, axis: int) -> np.ndarray:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stabilized softmax along ``axis``; rows sum to one."""
     x = as_tensor(x)
+    axis = _axis(axis, x.data.ndim, "softmax")
     s = _softmax_into(x.data, None, axis)
 
     def grad_fn(g):
@@ -316,19 +384,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor):
     _softmax_into(p, p, -1)
     p.flags.writeable = False
     out = np.matmul(p, v.data)
+    v_grad = v.requires_grad
+    # the score gradient gs is needed by q's and k's gradients only
+    if q.requires_grad or k.requires_grad:
+        saved_out, v_data = out, v.data
+    else:
+        saved_out = v_data = None
+    k_data = k.data if q.requires_grad else None
+    q_data = q.data if k.requires_grad else None
 
     def grad_fn(g):
         gq = gk = gv = None
-        if v.requires_grad:
+        if v_grad:
             gv = np.matmul(np.swapaxes(p, -1, -2), g)
-        if q.requires_grad or k.requires_grad:
-            gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
-            gs -= (g * out).sum(axis=-1, keepdims=True)
+        if saved_out is not None:
+            gs = np.matmul(g, np.swapaxes(v_data, -1, -2))
+            gs -= (g * saved_out).sum(axis=-1, keepdims=True)
             gs *= p
-            if q.requires_grad:
-                gq = np.matmul(gs, k.data)
-            if k.requires_grad:
-                gk = np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2)
+            if k_data is not None:
+                gq = np.matmul(gs, k_data)
+            if q_data is not None:
+                gk = np.swapaxes(np.matmul(np.swapaxes(q_data, -1, -2), gs), -1, -2)
         return gq, gk, gv
 
     return _from_op(out, (q, k, v), grad_fn), p
@@ -372,8 +448,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, weights expect {w_cin}")
     if length < window:
         raise InputTooShort(f"conv1d input length {length} < window {window}")
-    if stride < 1:
-        raise ShapeError(f"conv1d stride must be at least 1, got {stride}")
+    if not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ShapeError(f"conv1d stride must be an integer of at least 1, got {stride!r}")
     if b is not None:
         b = as_tensor(b)
         if b.shape != (c_out,):
@@ -389,21 +465,26 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
     data = w2 @ windows.reshape(c_in * window, out_length)
     if b is not None:
         data = data + b.data[:, None]
+    x_shape, w_shape = x.shape, w.shape
+    with_bias = b is not None
+    b_grad = with_bias and b.requires_grad
+    w2 = w2 if x.requires_grad else None
+    windows = windows if w.requires_grad else None
 
     def grad_fn(g):
         # g: [c_out, out_length]
         gx = gw = gb = None
-        if x.requires_grad:
+        if w2 is not None:
             per_tap = (w2.T @ g).reshape(c_in, window, out_length)
-            gx = np.zeros_like(x.data)
+            gx = np.zeros(x_shape)
             span = stride * out_length
             for k in range(window):
                 gx[:, k:k + span:stride] += per_tap[:, k, :]
-        if w.requires_grad:
-            gw = (g @ windows.reshape(c_in * window, out_length).T).reshape(w.shape)
-        if b is not None and b.requires_grad:
+        if windows is not None:
+            gw = (g @ windows.reshape(c_in * window, out_length).T).reshape(w_shape)
+        if b_grad:
             gb = g.sum(axis=1)
-        return (gx, gw) if b is None else (gx, gw, gb)
+        return (gx, gw, gb) if with_bias else (gx, gw)
 
     parents = (x, w) if b is None else (x, w, b)
     return _from_op(data, parents, grad_fn)
@@ -416,8 +497,8 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
 
     Variance is the population variance and ``eps`` sits inside the square
     root, so constant rows map to zero rather than NaN.  The sum is
-    normalized in place, so the tape keeps only ``xhat`` and the row scales;
-    ``x`` and ``y`` receive the same gradient array.
+    normalized in place, so the tape keeps only ``xhat``, the row scales and
+    the gain; ``x`` and ``y`` receive the same gradient array.
     """
     x, y, gain, bias = as_tensor(x), as_tensor(y), as_tensor(gain), as_tensor(bias)
     if x.shape != y.shape:
@@ -433,19 +514,21 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
     xhat *= inv_std
     data = gain.data * xhat
     data += bias.data
+    x_grad, y_grad = x.requires_grad, y.requires_grad
+    gain_grad, bias_grad = gain.requires_grad, bias.requires_grad
+    gain_data = gain.data
 
     def grad_fn(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=reduce_axes) if gain.requires_grad else None
-        gbias = g.sum(axis=reduce_axes) if bias.requires_grad else None
+        ggain = (g * xhat).sum(axis=reduce_axes) if gain_grad else None
+        gbias = g.sum(axis=reduce_axes) if bias_grad else None
         gx = None
-        if x.requires_grad or y.requires_grad:
-            gxhat = g * gain.data
+        if x_grad or y_grad:
+            gxhat = g * gain_data
             gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
             gx -= xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
             gx *= inv_std
-        return (gx if x.requires_grad else None, gx if y.requires_grad else None,
-                ggain, gbias)
+        return (gx if x_grad else None, gx if y_grad else None, ggain, gbias)
 
     return _from_op(data, (x, y, gain, bias), grad_fn)
 
@@ -499,53 +582,63 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires-grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
-    ``loss`` must be a scalar produced by a recorded forward pass; calling
-    backward twice on the same output raises StaleGraph.
+    ``loss`` must be a scalar produced by a recorded forward pass (a scalar
+    leaf that requires grad gets grad 1).  The walk consumes the graph: once
+    a node's ``grad_fn`` has run, the node drops its parents and closure, so
+    the arrays it saved are freed while ``loss`` and the other outputs are
+    still held.  Reaching a consumed node, by calling backward twice on one
+    loss or on a new graph built through a consumed output, raises
+    StaleGraph before any gradient is written.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._done:
-        raise StaleGraph("backward already ran on this graph; rerun the forward pass")
     if not loss.requires_grad:
         raise StaleGraph("loss does not depend on any tensor that requires grad")
-    loss._done = True
+    root = loss if loss._node is None else loss._node
 
-    order: list[Tensor] = []
+    # every node and leaf reachable from root, after its parents, so popping
+    # from the end reaches each one after all of its consumers
+    order: list = []
     seen: set[int] = set()
-    stack_ = [(loss, False)]
-    while stack_:
-        node, expanded = stack_.pop()
+    todo = [(root, False)]
+    while todo:
+        entry, expanded = todo.pop()
         if expanded:
-            order.append(node)
+            order.append(entry)
             continue
-        if id(node) in seen:
+        if id(entry) in seen:
             continue
-        seen.add(id(node))
-        stack_.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack_.append((parent, False))
+        seen.add(id(entry))
+        todo.append((entry, True))
+        if isinstance(entry, _Node):
+            if entry.done:
+                raise StaleGraph("backward already ran through this graph; "
+                                 "rerun the forward pass")
+            for parent in entry.parents:
+                if parent is not None and id(parent) not in seen:
+                    todo.append((parent, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._grad_fn is None:
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    while order:
+        entry = order.pop()
+        g = grads.pop(id(entry), None)
+        if isinstance(entry, Tensor):
             # leaf: accumulate into the persistent grad slot
-            node.grad = g if node.grad is None else node.grad + g
+            if g is not None:
+                entry.grad = g if entry.grad is None else entry.grad + g
             continue
-        parent_grads = node._grad_fn(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if not parent.requires_grad or pg is None:
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+        if g is not None:
+            for parent, pg in zip(entry.parents, entry.grad_fn(g)):
+                if parent is None or pg is None:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
+        entry.parents, entry.grad_fn, entry.done = (), None, True
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from aftx.audio import (
     resample_linear,
     write_wav,
 )
-from aftx.errors import FormatError, InputTooShort, UnsupportedCodec
+from aftx.errors import FormatError, InputTooShort, NonFinite, ShapeError, UnsupportedCodec
 
 
 def _wav_bytes(fmt, channels, rate, bits, payload):
@@ -60,6 +60,16 @@ class TestLoadWav:
         path.write_bytes(_wav_bytes(3, 1, 16_000, 32, x.tobytes()))
         w = load_wav(path)
         np.testing.assert_allclose(w.samples, x.astype(np.float64), atol=1e-7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype, bits", [("<f4", 32), ("<f8", 64)])
+    def test_non_finite_float_samples_rejected(self, tmp_path, bad, dtype, bits):
+        x = np.linspace(-0.9, 0.9, 2000)
+        x[700] = bad
+        path = tmp_path / "nan.wav"
+        path.write_bytes(_wav_bytes(3, 1, 16_000, bits, x.astype(dtype).tobytes()))
+        with pytest.raises(NonFinite):
+            load_wav(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "broken.wav"
@@ -135,6 +145,14 @@ class TestLogMel:
     def test_too_short(self):
         with pytest.raises(InputTooShort):
             log_mel(Waveform(samples=np.zeros(100)))
+
+    @pytest.mark.parametrize("kwargs", [dict(frame_shift_ms=0), dict(frame_shift_ms=0.01),
+                                        dict(frame_length_ms=0), dict(mel_bins=0),
+                                        dict(mel_bins=-3)],
+                             ids=["shift0", "shift-sub-sample", "length0", "bins0", "bins-neg"])
+    def test_empty_frames_or_bins_rejected(self, kwargs):
+        with pytest.raises(ShapeError):
+            log_mel(Waveform(samples=np.zeros(4000)), **kwargs)
 
     def test_filter_bank_built_once_and_read_only(self):
         bank = mel_filterbank(80, 512, 16_000)

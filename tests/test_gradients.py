@@ -60,7 +60,7 @@ def check_constant_operands(op, reference, arrays, constant, rng, seed):
     tensors = [Tensor(a, requires_grad=i not in constant) for i, a in enumerate(arrays)]
     out = op(*tensors)
     r = projection(rng, out.shape)
-    parent_grads = out._grad_fn(r)
+    parent_grads = out._node.grad_fn(r)
     backward(tsum(out * Tensor(r)))
     for idx, (arr, t) in enumerate(zip(arrays, tensors)):
         if idx in constant:
