@@ -3,7 +3,8 @@
 Layout: the 5-byte magic, a little-endian uint32 manifest length, a UTF-8
 JSON manifest listing ``(name, shape, trainable, offset)`` per entry, then the
 concatenated little-endian float64 payloads (offsets are relative to the
-payload start).  Round-trips are bit-exact.
+payload start).  Round-trips are bit-exact.  Each payload is written from its
+own array and read once, straight into the array that is returned.
 
 An optional JSON sidecar at ``<path>.json`` carries provenance (model config,
 clip id, mask kind and seed, ...).
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -35,7 +37,7 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
     """
     path = Path(path)
     manifest = []
-    chunks = []
+    payloads = []
     offset = 0
     names: set[str] = set()
     for name, arr, trainable in entries:
@@ -46,22 +48,22 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
         names.add(name)
         if not isinstance(trainable, (bool, np.bool_)):
             raise FormatError(f"{path}: entry {name!r} has a non-bool trainable {trainable!r}")
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        payload = np.ascontiguousarray(arr, dtype="<f8")
         manifest.append({
             "name": name,
             "shape": list(np.asarray(arr).shape),
             "trainable": bool(trainable),
             "offset": offset,
         })
-        chunks.append(raw)
-        offset += len(raw)
+        payloads.append(payload)
+        offset += payload.nbytes
     mjson = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(mjson)))
         fh.write(mjson)
-        for raw in chunks:
-            fh.write(raw)
+        for payload in payloads:
+            fh.write(payload)
     if sidecar is not None:
         sidecar_path(path).write_text(
             json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -69,44 +71,48 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
 
 def load_container(path) -> list[Entry]:
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:5] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:5]!r}, expected {MAGIC!r}")
-    if len(blob) < 9:
-        raise FormatError(f"{path}: truncated header")
-    (mlen,) = struct.unpack("<I", blob[5:9])
-    if len(blob) < 9 + mlen:
-        raise FormatError(f"{path}: truncated manifest")
-    try:
-        manifest = json.loads(blob[9:9 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable manifest") from exc
-    if not isinstance(manifest, list):
-        raise FormatError(f"{path}: manifest is not a list of entries")
-    start = 9 + mlen
-    entries: list[Entry] = []
-    names: set[str] = set()
-    for item in manifest:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(9)
+        if head[:5] != MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:5]!r}, expected {MAGIC!r}")
+        if len(head) < 9:
+            raise FormatError(f"{path}: truncated header")
+        (mlen,) = struct.unpack("<I", head[5:9])
+        if size < 9 + mlen:
+            raise FormatError(f"{path}: truncated manifest")
         try:
-            name, shape = item["name"], tuple(item["shape"])
-            offset, trainable = item["offset"], item["trainable"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: manifest entry {item!r} lacks a field") from exc
-        if not isinstance(name, str):
-            raise FormatError(f"{path}: entry name {name!r} is not a string")
-        if name in names:
-            raise FormatError(f"{path}: entry name {name!r} appears twice")
-        names.add(name)
-        if not isinstance(trainable, bool):
-            raise FormatError(f"{path}: entry {name!r} has a non-bool trainable {trainable!r}")
-        if not all(_is_count(n) for n in shape) or not _is_count(offset):
-            raise FormatError(f"{path}: entry {name!r} has a bad shape {shape} or offset {offset!r}")
-        count = math.prod(shape)
-        if start + offset + 8 * count > len(blob):
-            raise FormatError(f"{path}: payload truncated for entry {name!r}")
-        # astype copies, so no entry keeps the whole file alive
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start + offset)
-        entries.append((name, arr.astype(np.float64).reshape(shape), trainable))
+            manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: unreadable manifest") from exc
+        if not isinstance(manifest, list):
+            raise FormatError(f"{path}: manifest is not a list of entries")
+        start = 9 + mlen
+        entries: list[Entry] = []
+        names: set[str] = set()
+        for item in manifest:
+            try:
+                name, shape = item["name"], tuple(item["shape"])
+                offset, trainable = item["offset"], item["trainable"]
+            except (KeyError, TypeError) as exc:
+                raise FormatError(f"{path}: manifest entry {item!r} lacks a field") from exc
+            if not isinstance(name, str):
+                raise FormatError(f"{path}: entry name {name!r} is not a string")
+            if name in names:
+                raise FormatError(f"{path}: entry name {name!r} appears twice")
+            names.add(name)
+            if not isinstance(trainable, bool):
+                raise FormatError(f"{path}: entry {name!r} has a non-bool trainable {trainable!r}")
+            if not all(_is_count(n) for n in shape) or not _is_count(offset):
+                raise FormatError(f"{path}: entry {name!r} has a bad shape {shape} or offset {offset!r}")
+            count = math.prod(shape)
+            if start + offset + 8 * count > size:
+                raise FormatError(f"{path}: payload truncated for entry {name!r}")
+            arr = np.empty(count, dtype="<f8")
+            fh.seek(start + offset)
+            if fh.readinto(arr) != arr.nbytes:
+                raise FormatError(f"{path}: payload of entry {name!r} ends early")
+            entries.append((name, arr.reshape(shape), trainable))
     return entries
 
 

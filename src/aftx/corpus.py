@@ -11,6 +11,13 @@ File formats:
 - scores CSV:      ``clip_id,judge_id,trait,score``
 - clip manifest:   ``clip_id,speaker_id,path,duration_s``
 - fold plan:       JSON
+
+Both CSV readers find their columns by header name, in any order, ignore
+other columns and skip blank lines.  They raise FormatError for an empty
+file, a header that lacks a column, a row too short to hold every column
+and a field that does not parse; the scores reader also for a file with no
+rows, a repeated or missing (judge, clip) cell and a non-finite score, and
+the manifest reader for a negative or non-finite duration.
 """
 
 from __future__ import annotations
@@ -328,42 +335,109 @@ def write_scores_csv(path, scores_by_trait: dict[str, JudgeScores]) -> None:
                     writer.writerow([cid, judge, trait, repr(float(sc.matrix[j, c]))])
 
 
+# one record per scores-CSV row: codes into the trait, judge and clip id
+# dicts, the score, and the row's file line for error messages
+_SCORE_ROW = np.dtype([("trait", np.intp), ("judge", np.intp), ("clip", np.intp),
+                       ("score", np.float64), ("line", np.int64)])
+
+
+def _column_indices(reader, path, columns: tuple[str, ...]) -> list[int]:
+    """Read the header row and return the position of each named column."""
+    header = next(reader, None)
+    if header is None:
+        raise FormatError(f"{path}: empty file, expected a header with {list(columns)}")
+    position = {name: i for i, name in enumerate(header)}
+    missing = [name for name in columns if name not in position]
+    if missing:
+        raise FormatError(f"{path}: header {header} lacks {missing}")
+    return [position[name] for name in columns]
+
+
+def _ranks(codes: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The ids in sorted order, and each code's position in that order."""
+    ids = sorted(codes)
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[[codes[i] for i in ids]] = np.arange(len(ids))
+    return ids, rank
+
+
 def read_scores_csv(path) -> dict[str, JudgeScores]:
-    """Group rows into one [judges, clips] matrix per trait.  Judge and clip
-    orders are sorted for determinism.  Raises FormatError unless every
-    (judge, clip) cell of a trait is present exactly once with a finite
-    score."""
-    cells: dict[str, dict[tuple[str, str], float]] = {}
+    """Group rows into one [judges, clips] matrix per trait.
+
+    Columns are found by header name, in any order; other columns are
+    ignored and blank lines are skipped.  Judge and clip orders are sorted
+    for determinism; traits keep their order of first appearance.  The file
+    is read once, into one record per row; no row is kept as Python objects.
+
+    Raises FormatError for an empty file, a header that lacks one of
+    ``clip_id``, ``judge_id``, ``trait`` or ``score``, a file with no score
+    rows, a row too short to hold every column or with a non-numeric score
+    (naming its line), a second score for a cell (naming the line of the
+    first repeat in the file), a (judge, clip) cell of a trait with no score,
+    and a non-finite score.
+    """
+    traits: dict[str, int] = {}
+    judges: dict[str, int] = {}
+    clips: dict[str, int] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+        reader = csv.reader(fh)
+        ci, ji, ti, si = _column_indices(reader, path, ("clip_id", "judge_id", "trait", "score"))
+
+        def record(row):
             try:
-                trait, key = row["trait"], (row["judge_id"], row["clip_id"])
-                score = float(row["score"])
-            except (KeyError, TypeError, ValueError) as exc:
+                return (traits.setdefault(row[ti], len(traits)),
+                        judges.setdefault(row[ji], len(judges)),
+                        clips.setdefault(row[ci], len(clips)),
+                        float(row[si]), reader.line_num)
+            except (IndexError, ValueError) as exc:
                 raise FormatError(f"{path}:{reader.line_num}: bad scores row") from exc
-            data = cells.setdefault(trait, {})
-            if key in data:
-                raise FormatError(
-                    f"{path}:{reader.line_num}: second score for {key} on {trait}")
-            data[key] = score
+
+        rows = np.fromiter((record(row) for row in reader if row), dtype=_SCORE_ROW)
+    if not len(rows):
+        raise FormatError(f"{path}: no score rows")
+    judge_ids, judge_rank = _ranks(judges)
+    clip_ids, clip_rank = _ranks(clips)
+
+    # Per trait: its judges and clips, then each row's cell in the
+    # [judges, clips] matrix.  The sorted distinct cells find repeats and
+    # gaps in O(rows) memory, where counting into every cell would allocate
+    # the whole grid of a sparse malformed table.
+    grids = []
+    repeats = []
+    for t in range(len(traits)):
+        at = np.flatnonzero(rows["trait"] == t)
+        jt, jinv = np.unique(judge_rank[rows["judge"][at]], return_inverse=True)
+        ct, cinv = np.unique(clip_rank[rows["clip"][at]], return_inverse=True)
+        cell = jinv * len(ct) + cinv
+        filled, first = np.unique(cell, return_index=True)
+        if len(filled) < len(cell):
+            repeat = np.ones(len(cell), dtype=bool)
+            repeat[first] = False
+            repeats.append(at[repeat][0])
+        grids.append((at, jt, ct, cell, filled))
+    if repeats:
+        r = rows[min(repeats)]
+        key = (list(judges)[r["judge"]], list(clips)[r["clip"]])
+        raise FormatError(
+            f"{path}:{r['line']}: second score for {key} on {list(traits)[r['trait']]}")
+
     out: dict[str, JudgeScores] = {}
-    for trait, data in cells.items():
-        judges = sorted({j for j, _ in data})
-        clips = sorted({c for _, c in data})
-        matrix = np.empty((len(judges), len(clips)))
-        for ji, judge in enumerate(judges):
-            for ci, cid in enumerate(clips):
-                if (judge, cid) not in data:
-                    raise FormatError(f"{path}: no score for ({judge}, {cid}) on {trait}")
-                matrix[ji, ci] = data[(judge, cid)]
+    for trait, (at, jt, ct, cell, filled) in zip(traits, grids):
+        judges_t = [judge_ids[r] for r in jt]
+        clips_t = [clip_ids[r] for r in ct]
+        if len(filled) < len(jt) * len(ct):
+            gaps = np.flatnonzero(filled != np.arange(len(filled)))
+            ji, ci = divmod(int(gaps[0]) if len(gaps) else len(filled), len(ct))
+            raise FormatError(f"{path}: no score for ({judges_t[ji]}, {clips_t[ci]}) on {trait}")
+        matrix = np.empty((len(jt), len(ct)))
+        matrix.reshape(-1)[cell] = rows["score"][at]
         if not np.isfinite(matrix).all():
             ji, ci = np.argwhere(~np.isfinite(matrix))[0]
             raise FormatError(
-                f"{path}: non-finite score for ({judges[ji]}, {clips[ci]}) on {trait}")
+                f"{path}: non-finite score for ({judges_t[ji]}, {clips_t[ci]}) on {trait}")
         scale = FIVE_POINT if trait in TRAITS else CONTINUOUS
         out[trait] = JudgeScores(matrix=matrix, scale=scale, trait=trait,
-                                 clip_ids=clips, judge_ids=judges)
+                                 clip_ids=clips_t, judge_ids=judges_t)
     return out
 
 
@@ -377,10 +451,26 @@ def write_manifest_csv(path, clips: list[AnnotatedClip]) -> None:
 
 
 def read_manifest_csv(path) -> list[AnnotatedClip]:
+    """One clip per row.  Columns are found by header name and blank lines
+    are skipped.  Raises FormatError for an empty file, a header that lacks
+    a column, a row too short to hold every column, and a duration that is
+    not a finite, non-negative number."""
     clips = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            clips.append(AnnotatedClip(
-                clip_id=row["clip_id"], speaker_id=row["speaker_id"],
-                path=row["path"], duration_s=float(row["duration_s"])))
+        reader = csv.reader(fh)
+        ci, si, pi, di = _column_indices(reader, path,
+                                         ("clip_id", "speaker_id", "path", "duration_s"))
+        for row in reader:
+            if not row:
+                continue
+            try:
+                clip = AnnotatedClip(clip_id=row[ci], speaker_id=row[si], path=row[pi],
+                                     duration_s=float(row[di]))
+            except (IndexError, ValueError) as exc:
+                raise FormatError(f"{path}:{reader.line_num}: bad manifest row") from exc
+            if not 0.0 <= clip.duration_s < math.inf:
+                raise FormatError(
+                    f"{path}:{reader.line_num}: duration {clip.duration_s} is not a "
+                    "finite, non-negative number of seconds")
+            clips.append(clip)
     return clips

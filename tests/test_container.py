@@ -81,6 +81,7 @@ def _with_manifest(path, manifest, payload):
      {"name": "a", "shape": [2], "offset": 16, "trainable": True}],
     [{"name": 3, "shape": [2], "offset": 0, "trainable": True}],
     [{"name": "a", "shape": [2], "offset": 0, "trainable": "false"}],
+    [{"name": "a", "shape": [2**40], "offset": 0, "trainable": True}],
 ])
 def test_malformed_manifest_rejected(tmp_path, manifest):
     path = tmp_path / "bad.aftx"

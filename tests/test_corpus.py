@@ -319,6 +319,32 @@ class TestCsvRoundTrips:
         with pytest.raises(FormatError):
             read_scores_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "score,trait,judge_id,clip_id\n3,EX,j1,c1\n4,EX\n",
+        "",
+        "clip_id,judge_id,trait,score\n",
+        "clip_id,judge_id,score\n",
+    ], ids=["reordered_short_row", "empty", "header_only", "header_lacks_trait"])
+    def test_scores_file_boundaries_rejected(self, tmp_path, text):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_scores_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        "clip_id,speaker_id,path\nc1,s1,a.wav\n",
+        "clip_id,speaker_id,path,duration_s\nc1,s1,a.wav\n",
+        "clip_id,speaker_id,path,duration_s\nc1,s1,a.wav,abc\n",
+        "clip_id,speaker_id,path,duration_s\nc1,s1,a.wav,nan\n",
+        "clip_id,speaker_id,path,duration_s\nc1,s1,a.wav,inf\n",
+        "clip_id,speaker_id,path,duration_s\nc1,s1,a.wav,-1.0\n",
+    ], ids=["missing_column", "short_row", "non_numeric", "nan", "inf", "negative"])
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        path = tmp_path / "manifest.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            read_manifest_csv(path)
+
     def test_manifest_round_trip(self, tmp_path):
         clips = [AnnotatedClip("c1", "s1", "a/b.wav", 10.0),
                  AnnotatedClip("c2", "s1", "a/c.wav", 9.5)]
