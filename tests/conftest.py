@@ -14,6 +14,6 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 settings.register_profile("aftx", derandomize=True, deadline=None, database=None,
-                          max_examples=50)
+                          max_examples=30)
 settings.load_profile("aftx")
 set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "aftx-hypothesis"))

@@ -198,7 +198,7 @@ def test_container_round_trips_random_shapes(scratch, entries):
     assert all(a.tobytes() == b.tobytes() for (_, a, _), (_, b, _) in zip(loaded, entries))
 
 
-@settings(max_examples=20)
+@settings(max_examples=10)
 @given(entries=entry_lists)
 def test_every_container_truncation_rejected(scratch, entries):
     path = scratch / "whole.aftx"
