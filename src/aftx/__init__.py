@@ -8,8 +8,8 @@ Subpackage map:
 - ``container``: the "AFTX1" tensor file format.
 - ``audio`` / ``augment``: WAV ingestion, log-mel features, spectrogram
   masking.
-- ``corpus``: judge-score schemas, majority-vote labeling, folds, synthetic
-  corpora.
+- ``corpus``: judge-score schemas, majority-vote labeling, folds, the
+  scores CSV and synthetic judge scores.
 - ``metrics``: UAR, phi, Pearson, trait-pair tables.
 """
 

@@ -4,7 +4,9 @@ WAV parsing is hand-rolled over the RIFF chunk layout so malformed headers
 and unsupported codecs raise distinct, precise errors.  Supported payloads:
 16-bit PCM and 32/64-bit IEEE float, mono or stereo.  Everything is
 resampled to the canonical 16 kHz by linear interpolation and peak-limited
-to [-1, 1]; a float payload with NaN or infinite samples is rejected.
+to [-1, 1].  A sample rate below 8 kHz, which would make resampling
+multiply the sample count by more than two, and a float payload with NaN or
+infinite samples are rejected.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ class Waveform:
     samples: np.ndarray          # float64 in [-1, 1]
     sample_rate: int = SAMPLE_RATE
     source_id: str = ""
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 @dataclass
@@ -115,8 +113,10 @@ def load_wav(path) -> Waveform:
         raise FormatError(f"{path}: missing fmt or data chunk")
 
     fmt, channels, rate, bits = fmt_info
-    if channels < 1 or rate < 1:
-        raise FormatError(f"{path}: nonsensical fmt fields")
+    if channels < 1:
+        raise FormatError(f"{path}: fmt declares no channels")
+    if rate < 8_000:
+        raise FormatError(f"{path}: sample rate {rate} Hz is below 8000 Hz")
     x = _decode_samples(data, fmt, channels, bits)
     # min and max propagate NaN and infinity, with no temporary of the clip's size
     if len(x) and not np.isfinite([x.min(), x.max()]).all():

@@ -2,11 +2,11 @@
 
 Masked cells are filled with the global mean of the input spectrogram.
 ``apply_mask`` computes it on every call; ``augment_corpus`` computes it
-once per clip and shares it across that clip's variants.  Because the
-fill is a constant, applying frequency-then-time and time-then-frequency
-with the same seed produces the same set of masked cells: each axis draws
-its rectangles from its own seed-derived substream, independent of
-application order.
+once per clip and shares it across that clip's variants.  The composite
+kind ``FREQ_THEN_TIME`` masks both axes.  Each axis draws its bands from its
+own seed-derived substream and every band gets the same constant fill, so
+the order in which the axes are masked does not change the result, and one
+composite kind covers both orders.
 
 ``augment_corpus`` keeps each variant as its recipe (source, mask, fill),
 not as a copy: the mask is applied each time the variant's ``values`` is
@@ -26,10 +26,9 @@ from .errors import MaskTooLarge, UnknownKind
 FREQUENCY = "frequency"
 TIME = "time"
 FREQ_THEN_TIME = "freq_then_time"
-TIME_THEN_FREQ = "time_then_freq"
 
-MASK_KINDS = (FREQUENCY, TIME, FREQ_THEN_TIME, TIME_THEN_FREQ)
-DEFAULT_PLAN = (FREQUENCY, TIME, FREQ_THEN_TIME)
+MASK_KINDS = (FREQUENCY, TIME, FREQ_THEN_TIME)
+DEFAULT_PLAN = MASK_KINDS
 
 _AXIS_STREAM = {"freq": 0, "time": 1}
 
@@ -83,11 +82,11 @@ def _masked(values: np.ndarray, m: MaskSpec, fill: float) -> np.ndarray:
     """A fresh C-contiguous copy of ``values`` with the bands of ``m`` set to ``fill``."""
     mel_bins, frames = values.shape
     out = values.copy()
-    if m.kind in (FREQUENCY, FREQ_THEN_TIME, TIME_THEN_FREQ):
+    if m.kind in (FREQUENCY, FREQ_THEN_TIME):
         for start, end in sample_mask_regions(mel_bins, "freq", m.max_freq_width,
                                               m.num_masks_per_axis, m.seed):
             out[start:end, :] = fill
-    if m.kind in (TIME, FREQ_THEN_TIME, TIME_THEN_FREQ):
+    if m.kind in (TIME, FREQ_THEN_TIME):
         for start, end in sample_mask_regions(frames, "time", m.max_time_width,
                                               m.num_masks_per_axis, m.seed):
             out[:, start:end] = fill
@@ -115,14 +114,6 @@ class MaskedSpectrogram:
     @property
     def source_id(self) -> str:
         return self.source.source_id
-
-    @property
-    def mel_bins(self) -> int:
-        return self.source.mel_bins
-
-    @property
-    def frames(self) -> int:
-        return self.source.frames
 
 
 def augment_corpus(clips: list[Spectrogram], plan=DEFAULT_PLAN,

@@ -7,7 +7,7 @@ payload start).  Round-trips are bit-exact.  Each payload is written from its
 own array and read once, straight into the array that is returned.
 
 An optional JSON sidecar at ``<path>.json`` carries provenance (model config,
-clip id, mask kind and seed, ...).
+seed, ``entries_digest``, ...); it is plain JSON, read with ``json``.
 """
 
 from __future__ import annotations
@@ -122,10 +122,6 @@ def _is_count(n) -> bool:
 
 def sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
-
-
-def load_sidecar(path) -> dict:
-    return json.loads(sidecar_path(path).read_text(encoding="utf-8"))
 
 
 def entries_digest(entries: list[Entry]) -> str:

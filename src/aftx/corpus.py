@@ -1,4 +1,5 @@
-"""Corpus schemas, majority-vote labeling, fold planning, and synthetic data.
+"""Corpus schemas, majority-vote labeling, fold planning, and synthetic judge
+scores.
 
 Two corpus shapes are supported: a personality schema (five traits, eleven
 judges, 1-5 scores) and an emotion schema (arousal/valence, six annotators,
@@ -6,30 +7,22 @@ continuous scores in [-1, 1]).  A clip is labeled positive for a trait when
 at least a majority of judges scored it strictly above that judge's own
 mean score for the trait across the whole corpus.
 
-File formats:
-
-- scores CSV:      ``clip_id,judge_id,trait,score``
-- clip manifest:   ``clip_id,speaker_id,path,duration_s``
-- fold plan:       JSON
-
-Both CSV readers find their columns by header name, in any order, ignore
-other columns and skip blank lines.  They raise FormatError for an empty
-file, a header that lacks a column, a row too short to hold every column
-and a field that does not parse; the scores reader also for a file with no
-rows, a repeated or missing (judge, clip) cell and a non-finite score, and
-the manifest reader for a negative or non-finite duration.
+Scores are stored as a CSV of ``clip_id,judge_id,trait,score`` rows.  The
+reader finds its columns by header name, in any order, ignores other columns
+and skips blank lines.  It raises FormatError for an empty file, a header
+that lacks a column, a file with no rows, a row too short to hold every
+column, a score that does not parse, a trait outside ``TRAITS`` and
+``DIMENSIONS``, a repeated or missing (judge, clip) cell and a non-finite
+score.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, Waveform
 from .errors import (
     DegenerateLabels,
     FormatError,
@@ -65,10 +58,6 @@ class JudgeScores:
     def num_judges(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def num_clips(self) -> int:
-        return self.matrix.shape[1]
-
     def validate_schema(self) -> None:
         """Enforce the corpus-schema invariants (judge count, score range)."""
         expected = PERSONALITY_JUDGES if self.trait in TRAITS else EMOTION_JUDGES
@@ -89,8 +78,6 @@ class JudgeScores:
 class AnnotatedClip:
     clip_id: str
     speaker_id: str
-    path: str = ""
-    duration_s: float = 0.0
     binary_labels: dict[str, int] = field(default_factory=dict)
 
 
@@ -100,25 +87,6 @@ class FoldPlan:
     assignments: dict[str, int]     # clip_id -> fold index
     stratify_by: str
     speaker_disjoint: bool = False
-
-    def fold_clips(self, fold: int) -> list[str]:
-        return sorted(cid for cid, f in self.assignments.items() if f == fold)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "num_folds": self.num_folds,
-            "stratify_by": self.stratify_by,
-            "speaker_disjoint": self.speaker_disjoint,
-            "assignments": self.assignments,
-        }, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FoldPlan":
-        raw = json.loads(text)
-        return cls(num_folds=raw["num_folds"],
-                   assignments={k: int(v) for k, v in raw["assignments"].items()},
-                   stratify_by=raw["stratify_by"],
-                   speaker_disjoint=raw["speaker_disjoint"])
 
 
 def default_majority(num_judges: int) -> int:
@@ -138,23 +106,6 @@ def binarize_majority(scores: JudgeScores, majority: int | None = None) -> np.nd
     reference = m.mean(axis=1, keepdims=True)   # one mean per judge
     votes = (m > reference).sum(axis=0)
     return (votes >= majority).astype(np.int8)
-
-
-def segment_recording(w: Waveform, clip_seconds: float = 10.0) -> list[Waveform]:
-    """Cut a recording into consecutive non-overlapping clips; the trailing
-    remainder shorter than one clip is discarded."""
-    clip_len = int(round(clip_seconds * w.sample_rate))
-    if len(w.samples) < clip_len:
-        raise InputTooShort(
-            f"recording of {len(w.samples)} samples is shorter than one "
-            f"{clip_len}-sample clip")
-    count = len(w.samples) // clip_len
-    return [
-        Waveform(samples=w.samples[i * clip_len:(i + 1) * clip_len].copy(),
-                 sample_rate=w.sample_rate,
-                 source_id=f"{w.source_id}_{i:03d}")
-        for i in range(count)
-    ]
 
 
 def summarize_continuous(times: np.ndarray, values: np.ndarray,
@@ -220,53 +171,6 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
                     stratify_by=trait, speaker_disjoint=speaker_disjoint)
 
 
-# ---------------------------------------------------------------------------
-# synthetic corpora
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SyntheticSpec:
-    num_clips: int = 64
-    num_judges: int = PERSONALITY_JUDGES
-    scale: str = FIVE_POINT
-    trait: str = "EX"
-    label_signal: str = "amplitude"     # amplitude | pitch | none
-    score_noise: float = 0.0
-    clip_samples: int = 1024
-    sample_rate: int = SAMPLE_RATE
-    positive_fraction: float = 0.5
-    seed: int = 0
-
-
-@dataclass
-class SyntheticCorpus:
-    waveforms: list[Waveform]
-    scores: JudgeScores
-    planted: np.ndarray                 # latent binary labels
-
-
-def _synthesize_clip(rng: np.random.Generator, label: int, signal: str,
-                     num_samples: int, sample_rate: int) -> np.ndarray:
-    # positive clips are louder (amplitude mode) or higher pitched (pitch mode)
-    if signal == "amplitude":
-        rms = 0.40 if label else 0.06
-        f0 = 220.0
-    elif signal == "pitch":
-        rms = 0.20
-        f0 = 440.0 if label else 110.0
-    elif signal == "none":
-        rms = 0.20
-        f0 = 220.0
-    else:
-        raise UnknownKind(f"unknown label signal {signal!r}")
-    f0 *= 1.0 + 0.02 * rng.standard_normal()
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    t = np.arange(num_samples) / sample_rate
-    x = math.sqrt(2.0) * rms * np.sin(2.0 * math.pi * f0 * t + phase)
-    x += 0.01 * rng.standard_normal(num_samples)
-    return np.clip(x, -1.0, 1.0)
-
-
 def synthetic_judge_scores(planted: np.ndarray, num_judges: int, scale: str,
                            noise: float, rng: np.random.Generator,
                            trait: str, clip_ids: list[str]) -> JudgeScores:
@@ -295,33 +199,8 @@ def synthetic_judge_scores(planted: np.ndarray, num_judges: int, scale: str,
                        judge_ids=[f"j{j:02d}" for j in range(num_judges)])
 
 
-def generate_synthetic_corpus(spec: SyntheticSpec) -> SyntheticCorpus:
-    """Clips whose loudness or pitch encodes a planted binary label, plus
-    judge scores derived from the same label.  ``label_signal="none"`` keeps
-    the scores but removes the acoustic correlate."""
-    rng = np.random.default_rng(spec.seed)
-    n_pos = int(round(spec.num_clips * spec.positive_fraction))
-    planted = np.zeros(spec.num_clips, dtype=np.int8)
-    planted[:n_pos] = 1
-    planted = planted[rng.permutation(spec.num_clips)]
-    if len(np.unique(planted)) < 2:
-        raise DegenerateLabels("synthetic corpus needs both classes; adjust positive_fraction")
-
-    clip_ids = [f"clip{idx:04d}" for idx in range(spec.num_clips)]
-    waveforms = []
-    for idx in range(spec.num_clips):
-        wave_label = int(planted[idx]) if spec.label_signal != "none" else 0
-        x = _synthesize_clip(rng, wave_label, spec.label_signal,
-                             spec.clip_samples, spec.sample_rate)
-        waveforms.append(Waveform(samples=x, sample_rate=spec.sample_rate,
-                                  source_id=clip_ids[idx]))
-    scores = synthetic_judge_scores(planted, spec.num_judges, spec.scale,
-                                    spec.score_noise, rng, spec.trait, clip_ids)
-    return SyntheticCorpus(waveforms=waveforms, scores=scores, planted=planted)
-
-
 # ---------------------------------------------------------------------------
-# CSV / JSON plumbing
+# scores CSV
 # ---------------------------------------------------------------------------
 
 def write_scores_csv(path, scores_by_trait: dict[str, JudgeScores]) -> None:
@@ -372,8 +251,9 @@ def read_scores_csv(path) -> dict[str, JudgeScores]:
     Raises FormatError for an empty file, a header that lacks one of
     ``clip_id``, ``judge_id``, ``trait`` or ``score``, a file with no score
     rows, a row too short to hold every column or with a non-numeric score
-    (naming its line), a second score for a cell (naming the line of the
-    first repeat in the file), a (judge, clip) cell of a trait with no score,
+    (naming its line), a trait outside ``TRAITS`` and ``DIMENSIONS`` (naming
+    the line of its first row), a second score for a cell (naming the line of
+    the first repeat in the file), a (judge, clip) cell of a trait with no score,
     and a non-finite score.
     """
     traits: dict[str, int] = {}
@@ -395,6 +275,11 @@ def read_scores_csv(path) -> dict[str, JudgeScores]:
         rows = np.fromiter((record(row) for row in reader if row), dtype=_SCORE_ROW)
     if not len(rows):
         raise FormatError(f"{path}: no score rows")
+    for trait, t in traits.items():
+        if trait not in TRAITS + DIMENSIONS:
+            line = rows["line"][np.argmax(rows["trait"] == t)]
+            raise FormatError(f"{path}:{line}: unknown trait {trait!r}; "
+                              f"expected one of {TRAITS + DIMENSIONS}")
     judge_ids, judge_rank = _ranks(judges)
     clip_ids, clip_rank = _ranks(clips)
 
@@ -440,37 +325,3 @@ def read_scores_csv(path) -> dict[str, JudgeScores]:
                                  clip_ids=clips_t, judge_ids=judges_t)
     return out
 
-
-def write_manifest_csv(path, clips: list[AnnotatedClip]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_id", "speaker_id", "path", "duration_s"])
-        for clip in clips:
-            writer.writerow([clip.clip_id, clip.speaker_id, clip.path,
-                             repr(float(clip.duration_s))])
-
-
-def read_manifest_csv(path) -> list[AnnotatedClip]:
-    """One clip per row.  Columns are found by header name and blank lines
-    are skipped.  Raises FormatError for an empty file, a header that lacks
-    a column, a row too short to hold every column, and a duration that is
-    not a finite, non-negative number."""
-    clips = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        ci, si, pi, di = _column_indices(reader, path,
-                                         ("clip_id", "speaker_id", "path", "duration_s"))
-        for row in reader:
-            if not row:
-                continue
-            try:
-                clip = AnnotatedClip(clip_id=row[ci], speaker_id=row[si], path=row[pi],
-                                     duration_s=float(row[di]))
-            except (IndexError, ValueError) as exc:
-                raise FormatError(f"{path}:{reader.line_num}: bad manifest row") from exc
-            if not 0.0 <= clip.duration_s < math.inf:
-                raise FormatError(
-                    f"{path}:{reader.line_num}: duration {clip.duration_s} is not a "
-                    "finite, non-negative number of seconds")
-            clips.append(clip)
-    return clips

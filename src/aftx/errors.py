@@ -30,10 +30,6 @@ class LabelError(AftxError, KeyError):
     Also a KeyError, because a missing label is a failed lookup by trait."""
 
 
-class InvalidProbability(AftxError):
-    """Dropout probability must satisfy 0 <= p < 1."""
-
-
 class NotReal(AftxError):
     """Tensor data is not real numbers: complex values, strings or objects."""
 
@@ -54,7 +50,7 @@ class NonFinite(AftxError):
 # --- audio / augmentation ---
 
 class UnknownKind(AftxError):
-    """A mask kind, label signal or score scale that the library does not define."""
+    """A mask kind or score scale that the library does not define."""
 
 
 class FormatError(AftxError):

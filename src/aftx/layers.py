@@ -53,6 +53,8 @@ def multi_head_attention(
     With ``return_weights`` the per-head attention matrix [heads, frames,
     frames] is returned alongside (as a plain array; rows sum to one).
     """
+    if len(x.shape) != 2:
+        raise ShapeError(f"attention expects x [frames, dim], got {x.shape}")
     dim = x.shape[-1]
     if not isinstance(num_heads, (int, np.integer)) or num_heads < 1:
         raise HeadMismatch(f"attention needs a positive whole number of heads, got {num_heads!r}")

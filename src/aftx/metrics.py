@@ -35,10 +35,6 @@ class ConfusionMatrix:
         cells = 2 * y_true.astype(np.int64) + y_pred.astype(np.int64)
         return cls(counts=np.bincount(cells, minlength=4).reshape(2, 2))
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def uar(cm: ConfusionMatrix) -> float:
     """Unweighted average recall: the mean of per-class recalls."""

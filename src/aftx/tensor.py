@@ -30,7 +30,6 @@ from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import (
     InputTooShort,
-    InvalidProbability,
     LabelError,
     NonFinite,
     NotReal,
@@ -64,10 +63,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -232,9 +227,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     d_in, d_out = w.shape
     if x.shape[-1] != d_in:
         raise ShapeError(f"affine expects input dim {d_in}, got {x.shape[-1]}")
+    if d_in == 0:
+        raise ShapeError("affine needs an input dim of at least 1")
     if b.shape != (d_out,):
         raise ShapeError(f"affine bias must have shape ({d_out},), got {b.shape}")
     x2 = x.data.reshape(-1, d_in)
+    rows = x2.shape[0]     # reshape(-1, d_out) cannot infer rows when d_out == 0
     data = x2 @ w.data
     data += b.data
     x_shape, b_grad = x.shape, b.requires_grad
@@ -242,7 +240,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x2 = x2 if w.requires_grad else None
 
     def grad_fn(g):
-        g2 = g.reshape(-1, d_out)
+        g2 = g.reshape(rows, d_out)
         gx = None if w_data is None else (g2 @ w_data.T).reshape(x_shape)
         gw = None if x2 is None else x2.T @ g2
         gb = g2.sum(axis=0) if b_grad else None
@@ -352,6 +350,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stabilized softmax along ``axis``; rows sum to one."""
     x = as_tensor(x)
     axis = _axis(axis, x.data.ndim, "softmax")
+    if x.shape[axis] == 0:
+        raise ShapeError(f"softmax over axis {axis} of {x.shape}, which is empty")
     s = _softmax_into(x.data, None, axis)
 
     def grad_fn(g):
@@ -380,6 +380,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor):
         raise ShapeError(f"attention query and key dims differ: {q.shape}, {k.shape}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention key and value frames differ: {k.shape}, {v.shape}")
+    if k.shape[-2] == 0:
+        raise ShapeError("attention needs at least one key frame")
     p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
     _softmax_into(p, p, -1)
     p.flags.writeable = False
@@ -410,36 +412,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor):
     return _from_op(out, (q, k, v), grad_fn), p
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Zero elements with probability ``p`` and rescale survivors by 1/(1-p).
-
-    Identity in inference mode or at p == 0.  The generator is consumed only
-    when a mask is actually drawn, so seeded runs stay reproducible.
-    """
-    if not 0.0 <= p < 1.0:
-        raise InvalidProbability(f"dropout probability must be in [0, 1), got {p}")
-    x = as_tensor(x)
-    if not training or p == 0.0:
-        def grad_fn(g):
-            return (g,)
-        return _from_op(x.data.copy(), (x,), grad_fn)
-
-    keep = rng.random(x.shape) >= p
-    scale = 1.0 / (1.0 - p)
-
-    def grad_fn(g):
-        return (g * keep * scale,)
-
-    return _from_op(np.where(keep, x.data * scale, 0.0), (x,), grad_fn)
-
-
-def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Tensor:
+def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
     """Valid cross-correlation of ``x`` [c_in, length] with ``w``
-    [c_out, c_in, window], hopping ``stride`` samples per output frame.
+    [c_out, c_in, window], plus the bias ``b`` [c_out], hopping ``stride``
+    samples per output frame.
 
     out_length = floor((length - window) / stride) + 1.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeError(f"conv1d expects [c_in, L] and [c_out, c_in, W], got {x.shape}, {w.shape}")
     c_in, length = x.shape
@@ -450,10 +430,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
         raise InputTooShort(f"conv1d input length {length} < window {window}")
     if not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ShapeError(f"conv1d stride must be an integer of at least 1, got {stride!r}")
-    if b is not None:
-        b = as_tensor(b)
-        if b.shape != (c_out,):
-            raise ShapeError(f"conv1d bias must have shape ({c_out},), got {b.shape}")
+    if b.shape != (c_out,):
+        raise ShapeError(f"conv1d bias must have shape ({c_out},), got {b.shape}")
 
     out_length = (length - window) // stride + 1
     # [c_in, window, out_length] view, no copy; reshaping it to the
@@ -463,11 +441,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
         x.data, window, axis=1)[:, ::stride, :].transpose(0, 2, 1)
     w2 = w.data.reshape(c_out, c_in * window)
     data = w2 @ windows.reshape(c_in * window, out_length)
-    if b is not None:
-        data = data + b.data[:, None]
+    data = data + b.data[:, None]
     x_shape, w_shape = x.shape, w.shape
-    with_bias = b is not None
-    b_grad = with_bias and b.requires_grad
+    b_grad = b.requires_grad
     w2 = w2 if x.requires_grad else None
     windows = windows if w.requires_grad else None
 
@@ -484,10 +460,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 2) -> Te
             gw = (g @ windows.reshape(c_in * window, out_length).T).reshape(w_shape)
         if b_grad:
             gb = g.sum(axis=1)
-        return (gx, gw, gb) if with_bias else (gx, gw)
+        return gx, gw, gb
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _from_op(data, parents, grad_fn)
+    return _from_op(data, (x, w, b), grad_fn)
 
 
 def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
@@ -503,8 +478,8 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
     x, y, gain, bias = as_tensor(x), as_tensor(y), as_tensor(gain), as_tensor(bias)
     if x.shape != y.shape:
         raise ShapeError(f"residual shapes differ: {x.shape} vs {y.shape}")
-    if x.data.ndim == 0:
-        raise ShapeError("layer norm needs operands of rank >= 1")
+    if x.data.ndim == 0 or x.shape[-1] == 0:
+        raise ShapeError(f"layer norm needs a non-empty last axis, got shape {x.shape}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer norm affine params must have shape ({d},)")

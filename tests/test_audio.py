@@ -89,6 +89,14 @@ class TestLoadWav:
         with pytest.raises(UnsupportedCodec):
             load_wav(path)
 
+    @pytest.mark.parametrize("rate", [1, 7_999])
+    def test_sample_rate_below_8k_rejected(self, tmp_path, rate):
+        # resampling a 1 Hz header's 10 samples to 16 kHz would make 160,000
+        path = tmp_path / "slow.wav"
+        path.write_bytes(_wav_bytes(1, 1, rate, 16, b"\x00\x01" * 10))
+        with pytest.raises(FormatError):
+            load_wav(path)
+
     def test_truncated_data_chunk_rejected(self, tmp_path):
         # a 16000-sample file cut to 978 samples still declares 32000 data bytes
         path = tmp_path / "cut.wav"

@@ -12,7 +12,6 @@ from aftx.augment import (
     FREQUENCY,
     MASK_KINDS,
     TIME,
-    TIME_THEN_FREQ,
     MaskSpec,
     apply_mask,
     augment_corpus,
@@ -55,11 +54,18 @@ class TestApplyMask:
         np.testing.assert_array_equal(out.values[start:end, :], fill)
 
     def test_composition_orders_agree(self):
+        # the composite kind equals time bands, then frequency bands, drawn
+        # from its seed and filled with the input's mean
         spec = random_spec(np.random.default_rng(4))
+        fill = spec.values.mean()
         for seed in range(10):
             a = apply_mask(spec, MaskSpec(FREQ_THEN_TIME, 8, 20, seed=seed))
-            b = apply_mask(spec, MaskSpec(TIME_THEN_FREQ, 8, 20, seed=seed))
-            assert a.values.tobytes() == b.values.tobytes()
+            b = spec.values.copy()
+            for start, end in sample_mask_regions(90, "time", 20, 1, seed):
+                b[:, start:end] = fill
+            for start, end in sample_mask_regions(24, "freq", 8, 1, seed):
+                b[start:end, :] = fill
+            assert a.values.tobytes() == b.tobytes()
 
     def test_input_never_modified(self):
         spec = random_spec(np.random.default_rng(5))
@@ -118,10 +124,6 @@ class TestAugmentCorpus:
         out = augment_corpus(clips, plan=DEFAULT_PLAN, seed=0)
         assert len(out) == 2560
 
-    def test_all_four_kinds_quintuple(self):
-        clips = self.make_clips(12)
-        assert len(augment_corpus(clips, plan=MASK_KINDS, seed=0)) == 60
-
     def test_empty_plan_returns_originals(self):
         clips = self.make_clips(5)
         out = augment_corpus(clips, plan=(), seed=0)
@@ -179,8 +181,7 @@ class TestLazyVariants:
             values = variant.values
             assert values.tobytes() == replay.values.tobytes()
             assert values.flags.c_contiguous
-            assert (variant.source_id, variant.mel_bins, variant.frames) == \
-                (source.source_id, source.mel_bins, source.frames)
+            assert (variant.source_id, values.shape) == (source.source_id, source.values.shape)
             kinds.add(tag.kind)
         assert kinds == set(MASK_KINDS)
 

@@ -9,7 +9,6 @@ import pytest
 from aftx.container import (
     entries_digest,
     load_container,
-    load_sidecar,
     save_container,
 )
 from aftx.errors import FormatError
@@ -43,7 +42,7 @@ def test_sidecar_round_trip(tmp_path):
     path = tmp_path / "spec.aftx"
     save_container(path, [("values", np.ones((3, 4)), False)],
                    sidecar={"clip_id": "c001", "kind": "frequency", "seed": 7})
-    meta = load_sidecar(path)
+    meta = json.loads((tmp_path / "spec.aftx.json").read_text(encoding="utf-8"))
     assert meta == {"clip_id": "c001", "kind": "frequency", "seed": 7}
 
 

@@ -18,7 +18,6 @@ from aftx.tensor import (
     attention,
     backward,
     conv1d,
-    dropout,
     matmul,
     mul,
     relu,
@@ -265,24 +264,6 @@ class TestSoftmaxFamily:
                 return float((lse - shifted[np.arange(6), labels]).mean())
 
             check_op(loss, [logits], seed)
-        run_instances(case)
-
-
-class TestDropoutGrad:
-    def test_fixed_mask_gradient(self):
-        def case(rng, seed):
-            x = rng.standard_normal((5, 5))
-            r = projection(rng, (5, 5))
-            mask_seed = 1000 + seed
-
-            def loss(x_, as_tensors=False):
-                gen = np.random.default_rng(mask_seed)
-                if as_tensors:
-                    return tsum(dropout(x_, 0.4, True, gen) * Tensor(r))
-                keep = gen.random(x_.shape) >= 0.4
-                return float((np.where(keep, x_ / 0.6, 0.0) * r).sum())
-
-            check_op(loss, [x], seed)
         run_instances(case)
 
 

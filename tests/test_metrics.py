@@ -123,7 +123,9 @@ class TestUar:
             uar(cm([[0, 0], [3, 7]]))
 
     def test_total(self):
-        assert cm([[8, 2], [3, 7]]).total == 20
+        y_true = np.array([0, 0, 1, 1, 1, 0, 1])
+        y_pred = np.array([0, 1, 1, 0, 1, 0, 0])
+        assert ConfusionMatrix.from_predictions(y_true, y_pred).counts.sum() == len(y_true)
 
 
 class TestPhi:

@@ -1,10 +1,12 @@
-"""Property tests of the scores-CSV and AFTX1 readers.
+"""Property tests of the scores-CSV, AFTX1 and WAV readers.
 
 The scores reader is compared, bit for bit, with a row-dict reader that
 groups ``csv.DictReader`` rows into one Python dict per trait and fills each
 matrix cell by cell, on random valid tables; any single corruption must
 raise FormatError.  AFTX1 files of random shapes must round-trip, and every
-truncation of one must raise FormatError.
+truncation of one must raise FormatError.  Every truncation of a valid WAV,
+and every few-byte change to its header, either loads as a bounded 16 kHz
+waveform or raises an AftxError.
 """
 
 import csv
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from aftx.audio import SAMPLE_RATE, Waveform, load_wav, write_wav
 from aftx.container import load_container, save_container
 from aftx.corpus import (
     CONTINUOUS,
@@ -27,7 +30,7 @@ from aftx.corpus import (
     read_scores_csv,
     write_scores_csv,
 )
-from aftx.errors import FormatError
+from aftx.errors import AftxError, FormatError
 
 COLUMNS = ("clip_id", "judge_id", "trait", "score")
 
@@ -225,3 +228,53 @@ def test_container_load_allocates_the_payload_once(tmp_path):
         tracemalloc.stop()
     assert len(loaded) == len(entries)
     assert peak < payload + 2**20
+
+
+wavs = st.builds(
+    lambda rate, n, seed: (rate, np.random.default_rng(seed).uniform(-1, 1, n)),
+    st.sampled_from([8_000, 16_000, 44_100]), st.integers(0, 300), st.integers(0, 2**16))
+
+
+def load_or_aftx_error(path):
+    """The loaded waveform, or None when load_wav raises an AftxError.  A
+    loaded waveform is 16 kHz, finite, peak-limited, and at most twice as
+    many samples as the file has 16-bit words."""
+    try:
+        w = load_wav(path)
+    except AftxError:
+        return None
+    assert w.sample_rate == SAMPLE_RATE
+    assert np.isfinite(w.samples).all() and np.abs(w.samples).max(initial=0.0) <= 1.0
+    assert len(w.samples) <= path.stat().st_size + 1
+    return w
+
+
+@settings(max_examples=10)
+@given(wav=wavs)
+def test_every_wav_truncation_loads_or_raises(scratch, wav):
+    rate, x = wav
+    path = scratch / "whole.wav"
+    write_wav(path, Waveform(samples=x, sample_rate=rate))
+    assert load_or_aftx_error(path) is not None
+    blob = path.read_bytes()
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        load_or_aftx_error(path)
+
+
+@given(wav=wavs, changes=st.lists(st.tuples(st.integers(0, 40), st.binary(min_size=1, max_size=4)),
+                                  max_size=4),
+       header_rate=st.none() | st.integers(0, 2**32 - 1))
+def test_wav_header_changes_load_or_raise(scratch, wav, changes, header_rate):
+    """Each change overwrites 1-4 bytes of the 44-byte header; the sample
+    rate field (bytes 24-27) may also get any value."""
+    rate, x = wav
+    path = scratch / "changed.wav"
+    write_wav(path, Waveform(samples=x, sample_rate=rate))
+    blob = bytearray(path.read_bytes())
+    if header_rate is not None:
+        changes = [(24, header_rate.to_bytes(4, "little")), *changes]
+    for at, value in changes:
+        blob[at:at + len(value)] = value
+    path.write_bytes(bytes(blob))
+    load_or_aftx_error(path)

@@ -12,7 +12,6 @@ from aftx import tensor
 from aftx.errors import (
     HeadMismatch,
     InputTooShort,
-    InvalidProbability,
     LabelError,
     NonFinite,
     NotReal,
@@ -34,7 +33,6 @@ from aftx.tensor import (
     attention,
     backward,
     conv1d,
-    dropout,
     matmul,
     mul,
     relu,
@@ -113,13 +111,13 @@ class TestConv1d:
     def test_single_full_window(self):
         x = Tensor(np.ones((1, 3)))
         w = Tensor(np.ones((2, 1, 3)))
-        out = conv1d(x, w, stride=2)
+        out = conv1d(x, w, np.zeros(2), stride=2)
         assert out.shape == (2, 1)
 
     def test_out_length_formula(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 11)))
         w = Tensor(np.random.default_rng(1).standard_normal((4, 3, 3)))
-        assert conv1d(x, w, stride=2).shape == (4, 5)  # floor((11-3)/2)+1
+        assert conv1d(x, w, np.zeros(4), stride=2).shape == (4, 5)  # floor((11-3)/2)+1
 
     def test_zero_input_zero_bias(self):
         x = Tensor(np.zeros((2, 9)))
@@ -140,20 +138,22 @@ class TestConv1d:
 
     def test_too_short(self):
         with pytest.raises(InputTooShort):
-            conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))))
+            conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))), np.zeros(1))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 3, 3))))
+            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 3, 3))), np.zeros(1))
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one(self, stride):
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), stride=stride)
+            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), np.zeros(1),
+                   stride=stride)
 
     def test_fractional_stride(self):
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), stride=1.5)
+            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), np.zeros(1),
+                   stride=1.5)
 
 
 class TestPositionalEncoding:
@@ -243,7 +243,8 @@ class TestAttention:
         ((3, 6, 4), (2, 5, 4), (3, 5, 2)),     # unequal batch dims
         ((3, 6, 4), (3, 5, 3), (3, 5, 2)),     # query and key widths differ
         ((3, 6, 4), (3, 5, 4), (3, 7, 2)),     # key and value frame counts differ
-    ], ids=["rank", "batch", "qk-width", "kv-frames"])
+        ((3, 6, 4), (3, 0, 4), (3, 0, 2)),     # no key frames
+    ], ids=["rank", "batch", "qk-width", "kv-frames", "no-keys"])
     def test_shape_error(self, shapes):
         with pytest.raises(ShapeError):
             attention(*(Tensor(np.zeros(s)) for s in shapes))
@@ -339,7 +340,8 @@ class TestAddLayerNorm:
         (np.array(1.0), np.array(1.0), np.ones(1), np.zeros(1)),       # rank 0
         (np.ones((2, 3)), np.ones((2, 3)), np.ones(4), np.zeros(3)),   # gain width
         (np.ones((2, 3)), np.ones((2, 3)), np.ones(3), np.zeros((1, 3))),  # bias shape
-    ], ids=["residual", "rank0", "gain", "bias"])
+        (np.ones((2, 0)), np.ones((2, 0)), np.ones(0), np.zeros(0)),   # empty rows
+    ], ids=["residual", "rank0", "gain", "bias", "empty_rows"])
     def test_shape_errors(self, x, y, gain, bias):
         with pytest.raises(ShapeError):
             add_layer_norm(Tensor(x), Tensor(y), Tensor(gain), Tensor(bias))
@@ -374,7 +376,8 @@ class TestAffine:
         ((2, 4), (4,), (3,)),        # w of rank 1
         ((2, 5), (4, 3), (3,)),      # input width differs from w's rows
         ((2, 4), (4, 3), (1, 3)),    # bias shape
-    ], ids=["x_rank", "w_rank", "d_in", "bias"])
+        ((2, 0), (0, 3), (3,)),      # no input features
+    ], ids=["x_rank", "w_rank", "d_in", "bias", "d_in_zero"])
     def test_shape_errors(self, x_shape, w_shape, b_shape):
         with pytest.raises(ShapeError):
             affine(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
@@ -422,36 +425,6 @@ class TestSoftmaxCrossEntropy:
     def test_non_finite_logits(self, bad):
         with pytest.raises(NonFinite):
             softmax_cross_entropy(Tensor([[bad, 1.0]]), [0])
-
-
-class TestDropout:
-    def test_p_zero_identity(self):
-        x = Tensor(np.arange(12.0).reshape(3, 4))
-        out = dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_inference_identity(self):
-        x = Tensor(np.arange(12.0).reshape(3, 4))
-        out = dropout(x, 0.9, training=False, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_zeroed_fraction(self):
-        x = Tensor(np.ones(100_000))
-        out = dropout(x, 0.5, training=True, rng=np.random.default_rng(42))
-        frac = float(np.mean(out.data == 0.0))
-        assert abs(frac - 0.5) < 0.01
-        survivors = out.data[out.data != 0.0]
-        np.testing.assert_allclose(survivors, 2.0)  # scaled by 1/(1-p)
-
-    def test_seeded_reproducibility(self):
-        x = Tensor(np.ones(1000))
-        a = dropout(x, 0.5, True, np.random.default_rng(7)).data
-        b = dropout(x, 0.5, True, np.random.default_rng(7)).data
-        np.testing.assert_array_equal(a, b)
-
-    def test_invalid_probability(self):
-        with pytest.raises(InvalidProbability):
-            dropout(Tensor(np.ones(4)), 1.0, True, np.random.default_rng(0))
 
 
 class TestBackwardEngine:
@@ -585,8 +558,6 @@ TAPE_OPS = [
     ("softmax", lambda r: softmax(_leaf(r, 3, 4))),
     ("attention", lambda r: attention(_leaf(r, 2, 3, 4), _leaf(r, 2, 5, 4),
                                       _leaf(r, 2, 5, 3))[0]),
-    ("dropout", lambda r: dropout(_leaf(r, 3, 4), 0.5, True, r)),
-    ("dropout", lambda r: dropout(_leaf(r, 3, 4), 0.5, False, r)),
     ("conv1d", lambda r: conv1d(_leaf(r, 2, 9), _leaf(r, 3, 2, 3), _leaf(r, 3), stride=2)),
     ("add_layer_norm", lambda r: add_layer_norm(_leaf(r, 3, 4), _leaf(r, 3, 4),
                                                 _leaf(r, 4), _leaf(r, 4))),
