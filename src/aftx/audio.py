@@ -5,8 +5,9 @@ and unsupported codecs raise distinct, precise errors.  Supported payloads:
 16-bit PCM and 32/64-bit IEEE float, mono or stereo.  Everything is
 resampled to the canonical 16 kHz by linear interpolation and peak-limited
 to [-1, 1].  A sample rate below 8 kHz, which would make resampling
-multiply the sample count by more than two, and a float payload with NaN or
-infinite samples are rejected.
+multiply the sample count by more than two, a data chunk that ends inside
+a sample or frame, and a float payload with NaN or infinite samples are
+rejected.
 """
 
 from __future__ import annotations
@@ -62,20 +63,22 @@ def _decode_samples(data: bytes, fmt: int, channels: int, bits: int) -> np.ndarr
     if fmt == WAVE_FORMAT_PCM:
         if bits != 16:
             raise UnsupportedCodec(f"PCM with {bits} bits; only 16-bit PCM is supported")
-        raw = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2")
-        x = raw.astype(np.float64) / 32768.0
+        dtype = "<i2"
     elif fmt == WAVE_FORMAT_IEEE_FLOAT:
-        if bits == 32:
-            x = np.frombuffer(data[:len(data) - len(data) % 4], dtype="<f4").astype(np.float64)
-        elif bits == 64:
-            x = np.frombuffer(data[:len(data) - len(data) % 8], dtype="<f8").astype(np.float64)
-        else:
+        if bits not in (32, 64):
             raise UnsupportedCodec(f"IEEE float with {bits} bits")
+        dtype = f"<f{bits // 8}"
     else:
         raise UnsupportedCodec(f"WAVE format tag 0x{fmt:04x}")
+    frame = channels * bits // 8
+    if len(data) % frame:
+        raise FormatError(f"data chunk of {len(data)} bytes is not a whole number of "
+                          f"{frame}-byte frames ({channels} channels of {bits} bits)")
+    x = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    if fmt == WAVE_FORMAT_PCM:
+        x /= 32768.0
     if channels > 1:
-        usable = len(x) - len(x) % channels
-        x = x[:usable].reshape(-1, channels).mean(axis=1)
+        x = x.reshape(-1, channels).mean(axis=1)
     return x
 
 

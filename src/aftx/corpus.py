@@ -54,16 +54,12 @@ class JudgeScores:
     clip_ids: list[str] = field(default_factory=list)
     judge_ids: list[str] = field(default_factory=list)
 
-    @property
-    def num_judges(self) -> int:
-        return self.matrix.shape[0]
-
     def validate_schema(self) -> None:
         """Enforce the corpus-schema invariants (judge count, score range)."""
         expected = PERSONALITY_JUDGES if self.trait in TRAITS else EMOTION_JUDGES
-        if self.num_judges != expected:
-            raise SchemaError(
-                f"trait {self.trait!r} expects {expected} judges, got {self.num_judges}")
+        judges = self.matrix.shape[0]
+        if judges != expected:
+            raise SchemaError(f"trait {self.trait!r} expects {expected} judges, got {judges}")
         if self.scale == FIVE_POINT:
             if not np.isin(self.matrix, [1, 2, 3, 4, 5]).all():
                 raise SchemaError("five-point scores must lie in {1,...,5}")

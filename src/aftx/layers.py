@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from .errors import HeadMismatch, OddDimension, ShapeError
-from .tensor import Tensor, add_layer_norm, affine, attention, relu, reshape, transpose
+from .tensor import (Tensor, _weights_into, add_layer_norm, affine, attention, relu, reshape,
+                     transpose)
 
 
 def positional_encoding(num_frames: int, dim: int) -> Tensor:
@@ -50,8 +51,10 @@ def multi_head_attention(
     ``num_heads`` heads attends with softmax(Q Kᵀ / sqrt(dim/heads)), the head
     outputs are concatenated and passed through the output projection.
 
-    With ``return_weights`` the per-head attention matrix [heads, frames,
-    frames] is returned alongside (as a plain array; rows sum to one).
+    With ``return_weights`` the read-only per-head attention weights [heads,
+    frames, frames] are returned alongside, as a plain array whose rows sum
+    to one.  They are built only then, one head at a time, by the float
+    operations that ``attention`` uses, which itself never keeps them.
     """
     if len(x.shape) != 2:
         raise ShapeError(f"attention expects x [frames, dim], got {x.shape}")
@@ -72,12 +75,16 @@ def multi_head_attention(
         return transpose(reshape(t, (frames, num_heads, head_dim)), (1, 0, 2))
 
     qh, kh, vh = split(q), split(k), split(v)
-    ctx, weights = attention(qh, kh, vh)
+    ctx = attention(qh, kh, vh)
     merged = reshape(transpose(ctx, (1, 0, 2)), (frames, dim))
     out = linear(merged, wo, bo)
-    if return_weights:
-        return out, weights.copy()
-    return out
+    if not return_weights:
+        return out
+    weights = np.empty((num_heads, frames, frames))
+    for h in range(num_heads):
+        _weights_into(qh.data[h], kh.data[h], weights[h])
+    weights.flags.writeable = False
+    return out, weights
 
 
 def feed_forward(x: Tensor, w1, b1, w2, b2) -> Tensor:

@@ -13,7 +13,10 @@ grad, ``relu`` keeps only its mask).  So an intermediate Tensor that the
 forward code drops frees its data unless a backward reads it.  A layer's
 bias and its residual sum are folded into the op that makes them
 (``affine``, ``add_layer_norm``), so no pre-bias product or residual sum is
-made to be kept.
+made to be kept.  ``attention`` saves no weights: it works through its
+batch one [frames_q, frames_k] slice at a time, in the forward and again in
+the backward, which recomputes each slice's weights, so no array of that
+size outlives a slice.
 
 ``backward`` consumes the graph it walks: it releases each node's parents
 and closure once it has used them, so saved arrays are freed as the walk
@@ -361,15 +364,24 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _from_op(s, (x,), grad_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor):
+def _weights_into(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """softmax(q kᵀ) of one [frames_q, d] query and [frames_k, d] key slice,
+    written into ``out`` [frames_q, frames_k]."""
+    np.matmul(q, k.T, out=out)
+    return _softmax_into(out, out, -1)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(q kᵀ) v over stacks with equal batch dims, as one tape op.
 
     ``q`` is [..., frames_q, d], ``k`` [..., frames_k, d] and ``v``
-    [..., frames_k, d_v].  Returns the output Tensor [..., frames_q, d_v] and
-    the read-only attention weights [..., frames_q, frames_k], whose rows sum
-    to one.  The weights are the only array of that size the forward makes,
-    and the backward makes one more: it uses rowsum(g ∘ out), which equals
-    rowsum((g vᵀ) ∘ weights), on [..., frames_q, d_v] (Dao et al. 2022).
+    [..., frames_k, d_v]; returns the output Tensor [..., frames_q, d_v].
+    Each batch slice's weights [frames_q, frames_k] go into one reused
+    scratch array, so no array of that size outlives a slice.  The tape
+    keeps q, k, v and the output, not the weights: the backward recomputes
+    each slice's weights from the same inputs by the same float operations,
+    so they equal the forward's bit for bit.  It uses rowsum(g ∘ out), which
+    equals rowsum((g vᵀ) ∘ weights), on [frames_q, d_v] (Dao et al. 2022).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
@@ -382,34 +394,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor):
         raise ShapeError(f"attention key and value frames differ: {k.shape}, {v.shape}")
     if k.shape[-2] == 0:
         raise ShapeError("attention needs at least one key frame")
-    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    _softmax_into(p, p, -1)
-    p.flags.writeable = False
-    out = np.matmul(p, v.data)
-    v_grad = v.requires_grad
+    q_data, k_data = q.data, k.data
+    batch, p_shape = q.shape[:-2], (q.shape[-2], k.shape[-2])
+    out = np.empty(q.shape[:-1] + v.shape[-1:])
+    p = np.empty(p_shape)
+    for i in np.ndindex(batch):
+        np.matmul(_weights_into(q_data[i], k_data[i], p), v.data[i], out=out[i])
+    q_grad, k_grad, v_grad, v_shape = q.requires_grad, k.requires_grad, v.requires_grad, v.shape
     # the score gradient gs is needed by q's and k's gradients only
-    if q.requires_grad or k.requires_grad:
-        saved_out, v_data = out, v.data
-    else:
-        saved_out = v_data = None
-    k_data = k.data if q.requires_grad else None
-    q_data = q.data if k.requires_grad else None
+    v_data, saved_out = (v.data, out) if q_grad or k_grad else (None, None)
 
     def grad_fn(g):
-        gq = gk = gv = None
-        if v_grad:
-            gv = np.matmul(np.swapaxes(p, -1, -2), g)
-        if saved_out is not None:
-            gs = np.matmul(g, np.swapaxes(v_data, -1, -2))
-            gs -= (g * saved_out).sum(axis=-1, keepdims=True)
-            gs *= p
-            if k_data is not None:
-                gq = np.matmul(gs, k_data)
-            if q_data is not None:
-                gk = np.swapaxes(np.matmul(np.swapaxes(q_data, -1, -2), gs), -1, -2)
-        return gq, gk, gv
+        gq = np.empty(q_data.shape) if q_grad else None
+        # k's gradient is a [..., frames_k, d] view of the q_hᵀ gs_h products,
+        # the layout a batched product gives; a C-ordered copy would change
+        # the summation order of reductions further down the backward
+        gk_t = np.empty(batch + (q_data.shape[-1], p_shape[1])) if k_grad else None
+        gv = np.empty(v_shape) if v_grad else None
+        p = np.empty(p_shape)
+        gs = np.empty(p_shape) if v_data is not None else None
+        for i in np.ndindex(batch):
+            _weights_into(q_data[i], k_data[i], p)
+            if gv is not None:
+                np.matmul(p.T, g[i], out=gv[i])
+            if gs is not None:
+                np.matmul(g[i], v_data[i].T, out=gs)
+                gs -= (g[i] * saved_out[i]).sum(axis=-1, keepdims=True)
+                gs *= p
+                if gq is not None:
+                    np.matmul(gs, k_data[i], out=gq[i])
+                if gk_t is not None:
+                    np.matmul(q_data[i].T, gs, out=gk_t[i])
+        return gq, None if gk_t is None else np.swapaxes(gk_t, -1, -2), gv
 
-    return _from_op(out, (q, k, v), grad_fn), p
+    return _from_op(out, (q, k, v), grad_fn)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:

@@ -97,6 +97,17 @@ class TestLoadWav:
         with pytest.raises(FormatError):
             load_wav(path)
 
+    @pytest.mark.parametrize("fmt, channels, bits, payload", [
+        (1, 1, 16, b"\x00\x01" * 10 + b"\x02"),       # 10 samples and a stray byte
+        (1, 2, 16, b"\x00\x01" * 11),                 # 5 stereo frames and half a frame
+        (3, 1, 32, np.zeros(10, "<f4").tobytes() + b"\x00\x00"),  # a partial float32
+    ], ids=["pcm16-partial-sample", "stereo-partial-frame", "float32-partial-sample"])
+    def test_partial_sample_or_frame_rejected(self, tmp_path, fmt, channels, bits, payload):
+        path = tmp_path / "partial.wav"
+        path.write_bytes(_wav_bytes(fmt, channels, 16_000, bits, payload))
+        with pytest.raises(FormatError):
+            load_wav(path)
+
     def test_truncated_data_chunk_rejected(self, tmp_path):
         # a 16000-sample file cut to 978 samples still declares 32000 data bytes
         path = tmp_path / "cut.wav"

@@ -48,7 +48,7 @@ OPS = {
                 lambda s, k: [s[0]]),
     "attention": (4, lambda fq, fk, d, dv: [(2, fq, d), (2, fk, d), (2, fk, dv)],
                   lambda ts, k: attention(*ts),
-                  lambda s, k: [s[0][:-1] + s[2][-1:], s[0][:-1] + s[1][-2:-1]]),
+                  lambda s, k: [s[0][:-1] + s[2][-1:]]),
     "conv1d": (4, lambda ci, extra, co, w: [(ci, w + extra), (co, ci, w), (co,)],
                lambda ts, k: conv1d(*ts, stride=k),
                lambda s, k: [(s[1][0], (s[0][1] - s[1][2]) // k + 1)]),
