@@ -8,6 +8,14 @@ to [-1, 1].  A sample rate below 8 kHz, which would make resampling
 multiply the sample count by more than two, a data chunk that ends inside
 a sample or frame, and a float payload with NaN or infinite samples are
 rejected.
+
+Both stages stream a clip rather than copy it whole.  ``load_wav`` reads its
+chunks through a memoryview of the file and keeps one float64 array of the
+samples, which a 16 kHz file never leaves.  ``log_mel`` windows and
+transforms 128 frames at a time in one reused zero-padded block, so the
+only array that grows with the clip besides its input and output is the
+[frames, n_freqs] power spectrum; its results equal the whole-array
+formula bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ class Spectrogram:
         return self.values.shape[1]
 
 
-def _parse_fmt(chunk: bytes):
+def _parse_fmt(chunk: memoryview):
     if len(chunk) < 16:
         raise FormatError("fmt chunk shorter than 16 bytes")
     fmt, channels, rate, _, _, bits = struct.unpack("<HHIIHH", chunk[:16])
@@ -59,7 +67,7 @@ def _parse_fmt(chunk: bytes):
     return fmt, channels, rate, bits
 
 
-def _decode_samples(data: bytes, fmt: int, channels: int, bits: int) -> np.ndarray:
+def _decode_samples(data: memoryview, fmt: int, channels: int, bits: int) -> np.ndarray:
     if fmt == WAVE_FORMAT_PCM:
         if bits != 16:
             raise UnsupportedCodec(f"PCM with {bits} bits; only 16-bit PCM is supported")
@@ -93,7 +101,7 @@ def resample_linear(x: np.ndarray, src_rate: int, dst_rate: int) -> np.ndarray:
 def load_wav(path) -> Waveform:
     """Read a RIFF/WAVE file into a mono 16 kHz peak-limited Waveform."""
     path = Path(path)
-    blob = path.read_bytes()
+    blob = memoryview(path.read_bytes())  # chunk slices are views, not copies
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise FormatError(f"{path}: not a RIFF/WAVE file")
 
@@ -104,7 +112,7 @@ def load_wav(path) -> Waveform:
         cid = blob[pos:pos + 4]
         (size,) = struct.unpack("<I", blob[pos + 4:pos + 8])
         if pos + 8 + size > len(blob):
-            raise FormatError(f"{path}: {cid!r} chunk declares {size} bytes, "
+            raise FormatError(f"{path}: {bytes(cid)!r} chunk declares {size} bytes, "
                               f"{len(blob) - pos - 8} remain")
         body = blob[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
@@ -124,10 +132,12 @@ def load_wav(path) -> Waveform:
     # min and max propagate NaN and infinity, with no temporary of the clip's size
     if len(x) and not np.isfinite([x.min(), x.max()]).all():
         raise NonFinite(f"{path}: samples include NaN or infinity")
-    x = resample_linear(x, rate, SAMPLE_RATE)
-    peak = np.max(np.abs(x)) if len(x) else 0.0
+    if rate != SAMPLE_RATE:
+        x = resample_linear(x, rate, SAMPLE_RATE)
+    # equals max(|x|) exactly, with no |x| temporary
+    peak = max(x.max(), -x.min()) if len(x) else 0.0
     if peak > 1.0:
-        x = x / peak
+        x /= peak  # x is this call's own array
     return Waveform(samples=x, sample_rate=SAMPLE_RATE, source_id=path.stem)
 
 
@@ -156,6 +166,10 @@ def mel_to_hz(m):
     return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+# frames windowed and transformed together in log_mel
+_BLOCK_FRAMES = 128
+
+
 @functools.lru_cache
 def mel_filterbank(mel_bins: int, fft_size: int, sample_rate: int = SAMPLE_RATE) -> np.ndarray:
     """Triangular filters [mel_bins, fft_size//2 + 1], peaks at 1, spanning
@@ -181,9 +195,20 @@ def log_mel(w: Waveform, mel_bins: int = 80, frame_length_ms: float = 25.0,
     """Hann-windowed power STFT through a mel filter bank, floored natural log.
 
     frames = floor((num_samples - frame_length) / frame_shift) + 1.
-    Deterministic: identical inputs give bit-identical outputs.
+    The frames are windowed and transformed ``_BLOCK_FRAMES`` at a time in
+    one reused zero-padded [block, fft_size] buffer, and their magnitudes
+    are written straight into the one [frames, n_freqs] power array; the
+    mel product then runs on the whole array, and the floor and log run in
+    place on its result.  Every value equals, bit for bit, the whole-array
+    formula log(max(|rfft(frames * window, n=fft_size)|² @ bankᵀ, floor)):
+    each frame's transform does not depend on the rows beside it, while the
+    mel product is left whole because BLAS may sum a block's rows in a
+    different order.  Deterministic: identical inputs give bit-identical
+    outputs.  Samples must be 1-D and finite.
     """
     x = np.asarray(w.samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise ShapeError(f"log_mel needs 1-D samples, got shape {x.shape}")
     frame_length = int(round(w.sample_rate * frame_length_ms / 1000.0))
     frame_shift = int(round(w.sample_rate * frame_shift_ms / 1000.0))
     if mel_bins < 1 or frame_length < 1 or frame_shift < 1:
@@ -193,6 +218,9 @@ def log_mel(w: Waveform, mel_bins: int = 80, frame_length_ms: float = 25.0,
     if len(x) < frame_length:
         raise InputTooShort(
             f"waveform of {len(x)} samples is shorter than one {frame_length}-sample frame")
+    # min and max propagate NaN and infinity, with no temporary of the clip's size
+    if not np.isfinite([x.min(), x.max()]).all():
+        raise NonFinite("log_mel samples include NaN or infinity")
     num_frames = (len(x) - frame_length) // frame_shift + 1
 
     fft_size = 1
@@ -200,11 +228,17 @@ def log_mel(w: Waveform, mel_bins: int = 80, frame_length_ms: float = 25.0,
         fft_size *= 2
     window = np.hanning(frame_length)
     frames = np.lib.stride_tricks.sliding_window_view(x, frame_length)[::frame_shift][:num_frames]
-    spectrum = np.fft.rfft(frames * window, n=fft_size, axis=1)
-    power = np.abs(spectrum) ** 2                          # [frames, n_freqs]
+    power = np.empty((num_frames, fft_size // 2 + 1))     # [frames, n_freqs]
+    block = np.zeros((min(_BLOCK_FRAMES, num_frames), fft_size))  # zero tail written once
+    for r in range(0, num_frames, _BLOCK_FRAMES):
+        n = min(_BLOCK_FRAMES, num_frames - r)
+        np.multiply(frames[r:r + n], window, out=block[:n, :frame_length])
+        np.abs(np.fft.rfft(block[:n]), out=power[r:r + n])
+    power *= power
     bank = mel_filterbank(mel_bins, fft_size, w.sample_rate)
     mel_power = power @ bank.T                             # [frames, mel_bins]
-    values = np.log(np.maximum(mel_power, floor)).T        # [mel_bins, frames]
+    np.maximum(mel_power, floor, out=mel_power)
+    values = np.log(mel_power, out=mel_power).T            # [mel_bins, frames]
     return Spectrogram(values=values, mel_bins=mel_bins,
                        frame_length_ms=frame_length_ms,
                        frame_shift_ms=frame_shift_ms, source_id=w.source_id)

@@ -111,10 +111,6 @@ class MaskedSpectrogram:
     def values(self) -> np.ndarray:
         return _masked(self.source.values, self.mask, self.fill)
 
-    @property
-    def source_id(self) -> str:
-        return self.source.source_id
-
 
 def augment_corpus(clips: list[Spectrogram], plan=DEFAULT_PLAN,
                    max_freq_width: int = 8, max_time_width: int = 40,

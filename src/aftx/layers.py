@@ -81,8 +81,9 @@ def multi_head_attention(
     if not return_weights:
         return out
     weights = np.empty((num_heads, frames, frames))
+    row_max, row_sum = np.empty((frames, 1)), np.empty((frames, 1))
     for h in range(num_heads):
-        _weights_into(qh.data[h], kh.data[h], weights[h])
+        _weights_into(qh.data[h], kh.data[h], weights[h], row_max, row_sum)
     weights.flags.writeable = False
     return out, weights
 

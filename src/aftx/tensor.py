@@ -15,8 +15,8 @@ bias and its residual sum are folded into the op that makes them
 (``affine``, ``add_layer_norm``), so no pre-bias product or residual sum is
 made to be kept.  ``attention`` saves no weights: it works through its
 batch one [frames_q, frames_k] slice at a time, in the forward and again in
-the backward, which recomputes each slice's weights, so no array of that
-size outlives a slice.
+the backward, which recomputes each slice's weights from the row maxima and
+sums that the forward saved, so no array of that size outlives a slice.
 
 ``backward`` consumes the graph it walks: it releases each node's parents
 and closure once it has used them, so saved arrays are freed as the walk
@@ -364,11 +364,23 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _from_op(s, (x,), grad_fn)
 
 
-def _weights_into(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _weights_into(q: np.ndarray, k: np.ndarray, out: np.ndarray, row_max: np.ndarray,
+                  row_sum: np.ndarray, rows_known: bool = False) -> np.ndarray:
     """softmax(q kᵀ) of one [frames_q, d] query and [frames_k, d] key slice,
-    written into ``out`` [frames_q, frames_k]."""
+    written into ``out`` [frames_q, frames_k] by the float operations of
+    ``_softmax_into``.  Each row's max and sum of exponentials go into
+    ``row_max`` and ``row_sum`` [frames_q, 1]; with ``rows_known`` they are
+    read from there instead, which skips both reductions and gives the same
+    weights bit for bit."""
     np.matmul(q, k.T, out=out)
-    return _softmax_into(out, out, -1)
+    if not rows_known:
+        out.max(axis=-1, keepdims=True, out=row_max)
+    np.subtract(out, row_max, out=out)
+    np.exp(out, out=out)
+    if not rows_known:
+        out.sum(axis=-1, keepdims=True, out=row_sum)
+    out /= row_sum
+    return out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -378,9 +390,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     [..., frames_k, d_v]; returns the output Tensor [..., frames_q, d_v].
     Each batch slice's weights [frames_q, frames_k] go into one reused
     scratch array, so no array of that size outlives a slice.  The tape
-    keeps q, k, v and the output, not the weights: the backward recomputes
-    each slice's weights from the same inputs by the same float operations,
-    so they equal the forward's bit for bit.  It uses rowsum(g ∘ out), which
+    keeps q, k, v, the output and each row's softmax max and sum, not the
+    weights: the backward recomputes each slice's weights from the same
+    inputs and saved row statistics by the same float operations, so they
+    equal the forward's bit for bit.  It uses rowsum(g ∘ out), which
     equals rowsum((g vᵀ) ∘ weights), on [frames_q, d_v] (Dao et al. 2022).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
@@ -398,8 +411,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     batch, p_shape = q.shape[:-2], (q.shape[-2], k.shape[-2])
     out = np.empty(q.shape[:-1] + v.shape[-1:])
     p = np.empty(p_shape)
+    row_max, row_sum = np.empty(q.shape[:-1] + (1,)), np.empty(q.shape[:-1] + (1,))
     for i in np.ndindex(batch):
-        np.matmul(_weights_into(q_data[i], k_data[i], p), v.data[i], out=out[i])
+        _weights_into(q_data[i], k_data[i], p, row_max[i], row_sum[i])
+        np.matmul(p, v.data[i], out=out[i])
     q_grad, k_grad, v_grad, v_shape = q.requires_grad, k.requires_grad, v.requires_grad, v.shape
     # the score gradient gs is needed by q's and k's gradients only
     v_data, saved_out = (v.data, out) if q_grad or k_grad else (None, None)
@@ -414,7 +429,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         p = np.empty(p_shape)
         gs = np.empty(p_shape) if v_data is not None else None
         for i in np.ndindex(batch):
-            _weights_into(q_data[i], k_data[i], p)
+            _weights_into(q_data[i], k_data[i], p, row_max[i], row_sum[i], rows_known=True)
             if gv is not None:
                 np.matmul(p.T, g[i], out=gv[i])
             if gs is not None:
@@ -459,7 +474,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
         x.data, window, axis=1)[:, ::stride, :].transpose(0, 2, 1)
     w2 = w.data.reshape(c_out, c_in * window)
     data = w2 @ windows.reshape(c_in * window, out_length)
-    data = data + b.data[:, None]
+    data += b.data[:, None]
     x_shape, w_shape = x.shape, w.shape
     b_grad = b.requires_grad
     w2 = w2 if x.requires_grad else None

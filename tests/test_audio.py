@@ -1,6 +1,7 @@
 """WAV ingestion and the log-mel front-end."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,16 @@ from aftx.audio import (
     write_wav,
 )
 from aftx.errors import FormatError, InputTooShort, NonFinite, ShapeError, UnsupportedCodec
+
+
+def _traced_peak(fn, *args):
+    """Bytes that ``fn(*args)`` allocates at its peak, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _wav_bytes(fmt, channels, rate, bits, payload):
@@ -116,6 +127,22 @@ class TestLoadWav:
         with pytest.raises(FormatError):
             load_wav(path)
 
+    def test_chunk_error_names_the_chunk_id_as_bytes(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(samples=np.zeros(1000), sample_rate=16_000))
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(FormatError, match=r"b'data' chunk declares 2000 bytes, 1990 remain"):
+            load_wav(path)
+
+    def test_ten_second_clip_peaks_under_2_mib(self, tmp_path):
+        # the file's bytes (0.31 MiB) and one float64 array of its samples
+        # (1.22 MiB); no chunk copy, resampled copy or |x| array
+        path = tmp_path / "ten_seconds.wav"
+        x = np.random.default_rng(0).uniform(-0.9, 0.9, 160_000)
+        write_wav(path, Waveform(samples=x, sample_rate=16_000))
+        load_wav(path)
+        assert _traced_peak(load_wav, path) <= 2 * 2**20
+
 
 class TestResample:
     def test_ratio(self):
@@ -178,3 +205,44 @@ class TestLogMel:
         assert mel_filterbank(80, 512, 16_000) is bank
         with pytest.raises(ValueError):
             bank[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_samples_rejected(self, bad):
+        x = np.zeros(4000)
+        x[1234] = bad
+        with pytest.raises(NonFinite):
+            log_mel(Waveform(samples=x))
+
+    @pytest.mark.parametrize("shape", [(2, 4000), (4000, 2), ()],
+                             ids=["channels-first", "channels-last", "scalar"])
+    def test_samples_not_1d_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            log_mel(Waveform(samples=np.zeros(shape)))
+
+    @pytest.mark.parametrize("num_frames, kwargs, frame_length, frame_shift", [
+        (1, {}, 400, 160), (127, {}, 400, 160), (128, {}, 400, 160), (129, {}, 400, 160),
+        (998, {}, 400, 160),
+        (300, dict(mel_bins=40, frame_length_ms=32.0, frame_shift_ms=8.0), 512, 128),
+    ])
+    def test_equals_whole_array_formula(self, num_frames, kwargs, frame_length, frame_shift):
+        """Block streaming gives the values and layout of the formula applied
+        to all frames at once, bit for bit."""
+        rng = np.random.default_rng(num_frames)
+        x = rng.uniform(-1, 1, frame_length + (num_frames - 1) * frame_shift + frame_shift // 2)
+        mel_bins = kwargs.get("mel_bins", 80)
+        frames = np.lib.stride_tricks.sliding_window_view(
+            x, frame_length)[::frame_shift][:num_frames]
+        spectrum = np.fft.rfft(frames * np.hanning(frame_length), n=512, axis=1)
+        power = np.abs(spectrum) ** 2
+        expected = np.log(np.maximum(power @ mel_filterbank(mel_bins, 512, 16_000).T, 1e-10)).T
+        got = log_mel(Waveform(samples=x), **kwargs).values
+        assert got.shape == (mel_bins, num_frames)
+        assert np.array_equal(got, expected)
+        assert got.strides == expected.strides
+
+    def test_ten_second_clip_peaks_under_4_mib_above_input(self):
+        # the [998, 257] power spectrum (1.96 MiB), one 128-frame block and
+        # its transform (1 MiB together) and the [998, 80] output (0.61 MiB)
+        w = Waveform(samples=np.random.default_rng(1).uniform(-1, 1, 160_000))
+        log_mel(w)
+        assert _traced_peak(log_mel, w) <= 4 * 2**20

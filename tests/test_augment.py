@@ -181,7 +181,7 @@ class TestLazyVariants:
             values = variant.values
             assert values.tobytes() == replay.values.tobytes()
             assert values.flags.c_contiguous
-            assert (variant.source_id, values.shape) == (source.source_id, source.values.shape)
+            assert (variant.source.source_id, values.shape) == (source.source_id, source.values.shape)
             kinds.add(tag.kind)
         assert kinds == set(MASK_KINDS)
 
