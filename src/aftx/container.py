@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, NotReal
 
 MAGIC = b"AFTX1"
 
@@ -33,7 +33,8 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
 
     Raises FormatError, before anything is written, for an entry that
     ``load_container`` would reject: a non-string or repeated name, or a
-    non-bool trainable flag.
+    non-bool trainable flag; and NotReal for an array that is not real
+    numbers (complex, string or object), which a float64 cast would change.
     """
     path = Path(path)
     manifest = []
@@ -48,10 +49,13 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
         names.add(name)
         if not isinstance(trainable, (bool, np.bool_)):
             raise FormatError(f"{path}: entry {name!r} has a non-bool trainable {trainable!r}")
+        arr = np.asarray(arr)
+        if arr.dtype.kind not in "biuf":
+            raise NotReal(f"{path}: entry {name!r} is not real numbers, got dtype {arr.dtype}")
         payload = np.ascontiguousarray(arr, dtype="<f8")
         manifest.append({
             "name": name,
-            "shape": list(np.asarray(arr).shape),
+            "shape": list(arr.shape),
             "trainable": bool(trainable),
             "offset": offset,
         })

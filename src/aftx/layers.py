@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from .errors import HeadMismatch, OddDimension, ShapeError
-from .tensor import (Tensor, _weights_into, add_layer_norm, affine, attention, relu, reshape,
-                     transpose)
+from .tensor import (Tensor, _weights_into, attention, layer_norm_residual, linear, relu,
+                     reshape, transpose)
 
 
 def positional_encoding(num_frames: int, dim: int) -> Tensor:
@@ -34,11 +34,6 @@ def positional_encoding(num_frames: int, dim: int) -> Tensor:
     return Tensor(table)
 
 
-def linear(x: Tensor, weight, bias) -> Tensor:
-    """x @ weight + bias.  Weight is [d_in, d_out]; x is [d_in] or [rows, d_in]."""
-    return affine(x, weight, bias)
-
-
 def multi_head_attention(
     x: Tensor,
     num_heads: int,
@@ -48,8 +43,9 @@ def multi_head_attention(
     """Scaled dot-product self-attention over ``x`` [frames, dim].
 
     Queries, keys and values are linear projections of ``x``; each of the
-    ``num_heads`` heads attends with softmax(Q Kᵀ / sqrt(dim/heads)), the head
-    outputs are concatenated and passed through the output projection.
+    ``num_heads`` heads attends with ``attention``, softmax(Q Kᵀ /
+    sqrt(dim/heads)) V, the head outputs are concatenated and passed through
+    the output projection.
 
     With ``return_weights`` the read-only per-head attention weights [heads,
     frames, frames] are returned alongside, as a plain array whose rows sum
@@ -66,33 +62,25 @@ def multi_head_attention(
     head_dim = dim // num_heads
     frames = x.shape[0]
 
-    # scaling Q [frames, dim] equals scaling the [heads, frames, frames] scores
-    q = linear(x, wq, bq) * (1.0 / math.sqrt(head_dim))
-    k = linear(x, wk, bk)
-    v = linear(x, wv, bv)
+    def split(w, b):  # [frames, dim] projection -> [heads, frames, head_dim]
+        return transpose(reshape(linear(x, w, b), (frames, num_heads, head_dim)), (1, 0, 2))
 
-    def split(t):  # [frames, dim] -> [heads, frames, head_dim]
-        return transpose(reshape(t, (frames, num_heads, head_dim)), (1, 0, 2))
-
-    qh, kh, vh = split(q), split(k), split(v)
+    qh, kh, vh = split(wq, bq), split(wk, bk), split(wv, bv)
     ctx = attention(qh, kh, vh)
-    merged = reshape(transpose(ctx, (1, 0, 2)), (frames, dim))
-    out = linear(merged, wo, bo)
-    if not return_weights:
-        return out
-    weights = np.empty((num_heads, frames, frames))
-    row_max, row_sum = np.empty((frames, 1)), np.empty((frames, 1))
-    for h in range(num_heads):
-        _weights_into(qh.data[h], kh.data[h], weights[h], row_max, row_sum)
-    weights.flags.writeable = False
-    return out, weights
+    if return_weights:
+        weights = np.empty((num_heads, frames, frames))
+        row_max, row_sum = np.empty((frames, 1)), np.empty((frames, 1))
+        q = qh.data * (1.0 / math.sqrt(head_dim))
+        for h in range(num_heads):
+            _weights_into(q[h], kh.data[h], weights[h], row_max, row_sum)
+        weights.flags.writeable = False
+    # attention keeps its own scaled copy of the queries; the unscaled
+    # projection is not kept past it
+    del qh
+    out = linear(reshape(transpose(ctx, (1, 0, 2)), (frames, dim)), wo, bo)
+    return (out, weights) if return_weights else out
 
 
 def feed_forward(x: Tensor, w1, b1, w2, b2) -> Tensor:
     """Position-wise two-layer network: relu(x @ w1 + b1) @ w2 + b2."""
     return linear(relu(linear(x, w1, b1)), w2, b2)
-
-
-def layer_norm_residual(x: Tensor, sublayer_out: Tensor, gain, bias) -> Tensor:
-    """Add the sublayer input to its output, then normalize each frame."""
-    return add_layer_norm(x, sublayer_out, gain, bias)

@@ -8,11 +8,12 @@ require grad, and skips computing that gradient.
 
 A closure captures arrays and flags, never a Tensor, and what it saves is
 fixed when the op is recorded: only the arrays its backward reads for the
-parents that require grad (``mul`` keeps ``b`` only when ``a`` requires
+parents that require grad (``linear`` keeps ``w`` only when ``x`` requires
 grad, ``relu`` keeps only its mask).  So an intermediate Tensor that the
 forward code drops frees its data unless a backward reads it.  A layer's
 bias and its residual sum are folded into the op that makes them
-(``affine``, ``add_layer_norm``), so no pre-bias product or residual sum is
+(``linear``, ``layer_norm_residual``), and the 1/sqrt(d) query scale into
+``attention``, so no pre-bias product, residual sum or unscaled query is
 made to be kept.  ``attention`` saves no weights: it works through its
 batch one [frames_q, frames_k] slice at a time, in the forward and again in
 the backward, which recomputes each slice's weights from the row maxima and
@@ -27,6 +28,8 @@ addition requires.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.array_utils import normalize_axis_index
@@ -73,40 +76,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # operator sugar; scalars are promoted to constant tensors
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes or None)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
 
 
 class _Node:
@@ -180,60 +149,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (a, b), grad_fn)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"cannot multiply {a.shape} and {b.shape}") from exc
-    a_shape, b_shape = a.shape, b.shape
-    # each factor is kept only for the other operand's gradient
-    b_data = b.data if a.requires_grad else None
-    a_data = a.data if b.requires_grad else None
-
-    def grad_fn(g):
-        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
-                None if a_data is None else _unbroadcast(g * a_data, b_shape))
-
-    return _from_op(data, (a, b), grad_fn)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-d matrix product, or batched product of stacks with equal batch dims."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError("matmul needs operands of rank >= 2")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    if a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
-    b_data = b.data if a.requires_grad else None
-    a_data = a.data if b.requires_grad else None
-
-    def grad_fn(g):
-        ga = None if b_data is None else np.matmul(g, np.swapaxes(b_data, -1, -2))
-        gb = None if a_data is None else np.matmul(np.swapaxes(a_data, -1, -2), g)
-        return ga, gb
-
-    return _from_op(data, (a, b), grad_fn)
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one tape op: ``x`` is [d_in] or [rows, d_in], ``w``
     [d_in, d_out] and ``b`` [d_out].  The bias is added in place, so no
     pre-bias product outlives the forward."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim not in (1, 2) or w.data.ndim != 2:
-        raise ShapeError(f"affine expects x [d_in] or [rows, d_in] and w [d_in, d_out], "
+        raise ShapeError(f"linear expects x [d_in] or [rows, d_in] and w [d_in, d_out], "
                          f"got {x.shape}, {w.shape}")
     d_in, d_out = w.shape
     if x.shape[-1] != d_in:
-        raise ShapeError(f"affine expects input dim {d_in}, got {x.shape[-1]}")
+        raise ShapeError(f"linear expects input dim {d_in}, got {x.shape[-1]}")
     if d_in == 0:
-        raise ShapeError("affine needs an input dim of at least 1")
+        raise ShapeError("linear needs an input dim of at least 1")
     if b.shape != (d_out,):
-        raise ShapeError(f"affine bias must have shape ({d_out},), got {b.shape}")
+        raise ShapeError(f"linear bias must have shape ({d_out},), got {b.shape}")
     x2 = x.data.reshape(-1, d_in)
     rows = x2.shape[0]     # reshape(-1, d_out) cannot infer rows when d_out == 0
     data = x2 @ w.data
@@ -292,26 +222,14 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     return _from_op(x.data.transpose(axes), (x,), grad_fn)
 
 
-def tsum(x: Tensor, axis=None) -> Tensor:
-    x = as_tensor(x)
-    shape = x.shape
-    if axis is not None:
-        axis = _axis(axis, x.data.ndim, "tsum")
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _from_op(x.data.sum(axis=axis), (x,), grad_fn)
-
-
 def tmean(x: Tensor, axis=None) -> Tensor:
     x = as_tensor(x)
     shape = x.shape
     if axis is not None:
         axis = _axis(axis, x.data.ndim, "tmean")
     count = x.data.size if axis is None else shape[axis]
+    if count == 0:
+        raise ShapeError(f"tmean over no elements: axis {axis} of {shape}")
 
     def grad_fn(g):
         if axis is None:
@@ -366,7 +284,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def _weights_into(q: np.ndarray, k: np.ndarray, out: np.ndarray, row_max: np.ndarray,
                   row_sum: np.ndarray, rows_known: bool = False) -> np.ndarray:
-    """softmax(q kᵀ) of one [frames_q, d] query and [frames_k, d] key slice,
+    """softmax(q kᵀ) of one scaled [frames_q, d] query and [frames_k, d] key slice,
     written into ``out`` [frames_q, frames_k] by the float operations of
     ``_softmax_into``.  Each row's max and sum of exponentials go into
     ``row_max`` and ``row_sum`` [frames_q, 1]; with ``rows_known`` they are
@@ -384,16 +302,17 @@ def _weights_into(q: np.ndarray, k: np.ndarray, out: np.ndarray, row_max: np.nda
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q kᵀ) v over stacks with equal batch dims, as one tape op.
+    """Scaled dot-product attention softmax(q kᵀ / sqrt(d)) v over stacks with
+    equal batch dims, as one tape op (Vaswani et al. 2017, arXiv 1706.03762).
 
     ``q`` is [..., frames_q, d], ``k`` [..., frames_k, d] and ``v``
     [..., frames_k, d_v]; returns the output Tensor [..., frames_q, d_v].
-    Each batch slice's weights [frames_q, frames_k] go into one reused
+    The scale multiplies q as one array before the score products.  Each batch slice's weights [frames_q, frames_k] go into one reused
     scratch array, so no array of that size outlives a slice.  The tape
-    keeps q, k, v, the output and each row's softmax max and sum, not the
-    weights: the backward recomputes each slice's weights from the same
-    inputs and saved row statistics by the same float operations, so they
-    equal the forward's bit for bit.  It uses rowsum(g ∘ out), which
+    keeps the scaled q, k, v, the output and each row's softmax max and
+    sum, not the weights: the backward recomputes each slice's weights from
+    the same inputs and saved row statistics by the same float operations,
+    so they equal the forward's bit for bit.  It uses rowsum(g ∘ out), which
     equals rowsum((g vᵀ) ∘ weights), on [frames_q, d_v] (Dao et al. 2022).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
@@ -403,11 +322,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ShapeError(f"attention batch dims differ: {q.shape}, {k.shape}, {v.shape}")
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention query and key dims differ: {q.shape}, {k.shape}")
+    if q.shape[-1] == 0:
+        raise ShapeError("attention needs a query and key dim of at least 1")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError(f"attention key and value frames differ: {k.shape}, {v.shape}")
     if k.shape[-2] == 0:
         raise ShapeError("attention needs at least one key frame")
-    q_data, k_data = q.data, k.data
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    q_data, k_data = q.data * scale, k.data
     batch, p_shape = q.shape[:-2], (q.shape[-2], k.shape[-2])
     out = np.empty(q.shape[:-1] + v.shape[-1:])
     p = np.empty(p_shape)
@@ -440,6 +362,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
                     np.matmul(gs, k_data[i], out=gq[i])
                 if gk_t is not None:
                     np.matmul(q_data[i].T, gs, out=gk_t[i])
+        if gq is not None:
+            gq *= scale
         return gq, None if gk_t is None else np.swapaxes(gk_t, -1, -2), gv
 
     return _from_op(out, (q, k, v), grad_fn)
@@ -498,8 +422,8 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
     return _from_op(data, (x, w, b), grad_fn)
 
 
-def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
-                   eps: float = 1e-5) -> Tensor:
+def layer_norm_residual(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
+                        eps: float = 1e-5) -> Tensor:
     """Normalize each row (last axis) of the residual sum ``x + y`` to zero
     mean, unit variance, then apply an elementwise affine ``gain * xhat + bias``.
 

@@ -11,7 +11,7 @@ from aftx.container import (
     load_container,
     save_container,
 )
-from aftx.errors import FormatError
+from aftx.errors import FormatError, NotReal
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -100,6 +100,17 @@ def test_writer_rejects_what_the_reader_rejects(tmp_path, entries):
     path.write_bytes(b"old")
     with pytest.raises(FormatError):
         save_container(path, entries)
+    assert path.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("arr", [np.array([1 + 2j]), np.array(["1.5"]), np.array([None])],
+                         ids=["complex", "string", "object"])
+def test_writer_rejects_non_real_arrays(tmp_path, arr):
+    """A float64 cast would keep 1+2j as 1.0, "1.5" as 1.5 and None as NaN."""
+    path = tmp_path / "bad.aftx"
+    path.write_bytes(b"old")
+    with pytest.raises(NotReal):
+        save_container(path, [("a", np.zeros(2), True), ("b", arr, True)])
     assert path.read_bytes() == b"old"
 
 

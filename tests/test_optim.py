@@ -5,7 +5,9 @@ import pytest
 
 from aftx.errors import MissingGrad, NonFinite
 from aftx.optim import AdamW
-from aftx.tensor import Parameter, Tensor, backward, tsum
+from aftx.tensor import Parameter, Tensor, backward
+
+from scalar_loss import project
 
 
 def make_param(values, trainable=True, name="p"):
@@ -93,18 +95,18 @@ class TestAdamWWrapper:
         opt = AdamW({"p": p}, lr=0.05, weight_decay=0.0)
         first = None
         for _ in range(200):
-            loss = tsum(p.tensor * p.tensor)
+            loss = project(p.tensor, p.tensor)
             if first is None:
                 first = loss.item()
             backward(loss)
             opt.step()
             opt.zero_grad()
-        assert tsum(p.tensor * p.tensor).item() < first * 0.1
+        assert project(p.tensor, p.tensor).item() < first * 0.1
 
     def test_zero_grad_clears(self):
         p = make_param([1.0])
         opt = AdamW({"p": p})
-        backward(tsum(p.tensor * p.tensor))
+        backward(project(p.tensor, p.tensor))
         assert p.tensor.grad is not None
         opt.zero_grad()
         assert p.tensor.grad is None

@@ -28,13 +28,10 @@ from aftx.layers import (
 from aftx.tensor import (
     Tensor,
     add,
-    add_layer_norm,
-    affine,
     attention,
     backward,
     conv1d,
-    matmul,
-    mul,
+    linear,
     relu,
     reshape,
     softmax,
@@ -42,8 +39,9 @@ from aftx.tensor import (
     stack,
     tmean,
     transpose,
-    tsum,
 )
+
+from scalar_loss import project
 
 LN2 = 0.6931471805599453
 
@@ -77,16 +75,16 @@ class TestShapeOpErrors:
         lambda x: transpose(x, (0, 0, 1)),
         lambda x: transpose(x, (0, 1)),
         lambda x: transpose(x, (0, 1, 3)),
-        lambda x: tsum(x, 3),
-        lambda x: tsum(x, -4),
         lambda x: tmean(x, 3),
         lambda x: tmean(x, -4),
+        lambda x: tmean(Tensor(np.zeros((0, 3))), 0),
+        lambda x: tmean(Tensor(np.zeros((0, 3)))),
         lambda x: softmax(x, 3),
         lambda x: softmax(x, 1.0),
         lambda x: stack([x, x], axis=4),
         lambda x: stack([x, x], axis=-5),
     ], ids=["reshape-size", "reshape-type", "transpose-repeat", "transpose-short",
-            "transpose-range", "tsum", "tsum-neg", "tmean", "tmean-neg", "softmax",
+            "transpose-range", "tmean", "tmean-neg", "tmean-empty", "tmean-empty-all", "softmax",
             "softmax-float", "stack", "stack-neg"])
     def test_shape_error(self, op):
         with pytest.raises(ShapeError):
@@ -96,13 +94,13 @@ class TestShapeOpErrors:
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         r = rng.standard_normal((3, 2, 4))
-        backward(tsum(transpose(x, (1, 0, -1)) * Tensor(r)))
+        backward(project(transpose(x, (1, 0, -1)), r))
         np.testing.assert_array_equal(x.grad, r.transpose(1, 0, 2))
 
     @pytest.mark.parametrize("axis", [-1, -2])
     def test_negative_axes_match_positive(self, axis):
         x = Tensor(np.random.default_rng(5).standard_normal((3, 4)))
-        for op in (tsum, tmean, softmax):
+        for op in (tmean, softmax):
             assert np.array_equal(op(x, axis).data, op(x, axis % 2).data)
         assert np.array_equal(stack([x, x], axis - 1).data, stack([x, x], (axis - 1) % 3).data)
 
@@ -238,16 +236,18 @@ class TestAttention:
         for seed in range(5):
             q, k, v = self.operands(seed)
             out = attention(q, k, v)
-            chain = matmul(softmax(matmul(q, transpose(k, (0, 2, 1)))), v)
-            assert np.array_equal(out.data, chain.data)
+            scores = np.matmul(q.data * (1.0 / math.sqrt(4)), np.swapaxes(k.data, -1, -2))
+            chain = np.matmul(softmax(Tensor(scores)).data, v.data)
+            assert np.array_equal(out.data, chain)
 
     def test_equals_batched_formulas_in_value_and_layout(self):
         """Slice by slice, the op computes what one batched product over
-        [heads, frames, frames] weights computes, bit for bit.  Operands and
-        the output gradient are split-head views, as in multi-head attention,
-        and each gradient keeps the stride order of its batched formula (a
-        gradient in another layout makes a later reduction sum in another
-        order)."""
+        [heads, frames, frames] weights computes, bit for bit, with q scaled
+        as one array before the scores and q's gradient scaled after.
+        Operands and the output gradient are split-head views, as in
+        multi-head attention, and each gradient keeps the stride order of its
+        batched formula (a gradient in another layout makes a later reduction
+        sum in another order)."""
         rng = np.random.default_rng(4)
         frames, heads, width = 7, 3, 4
 
@@ -255,7 +255,9 @@ class TestAttention:
             return a.reshape(frames, heads, width).transpose(1, 0, 2)
 
         q, k, v, g = (split(rng.standard_normal((frames, heads * width))) for _ in range(4))
-        p = np.matmul(q, np.swapaxes(k, -1, -2))
+        scale = 1.0 / math.sqrt(width)
+        qs = q * scale
+        p = np.matmul(qs, np.swapaxes(k, -1, -2))
         p = np.exp(p - p.max(axis=-1, keepdims=True))
         p /= p.sum(axis=-1, keepdims=True)
         out = np.matmul(p, v)
@@ -264,7 +266,8 @@ class TestAttention:
         gs -= (g * out).sum(axis=-1, keepdims=True)
         gs *= p
         gq = np.matmul(gs, k)
-        gk = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)
+        gq *= scale
+        gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gs), -1, -2)
 
         leaves = [Tensor(a, requires_grad=True) for a in (q, k, v)]
         result = attention(*leaves)
@@ -321,13 +324,13 @@ class TestLayerNorm:
     def test_unit_gain_zero_bias_moments(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.standard_normal((5, 16)))
-        out = add_layer_norm(x, _zeros_like(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
+        out = layer_norm_residual(x, _zeros_like(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
         assert np.max(np.abs(out.mean(axis=-1))) < 1e-9
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
 
     def test_constant_frame_maps_to_zero(self):
         x, y = Tensor(np.full((2, 8), 3.5)), Tensor(np.full((2, 8), -1.25))
-        out = add_layer_norm(x, y, Tensor(np.ones(8)), Tensor(np.zeros(8))).data
+        out = layer_norm_residual(x, y, Tensor(np.ones(8)), Tensor(np.zeros(8))).data
         assert np.all(out == 0.0)
 
     def test_hand_case(self):
@@ -342,8 +345,8 @@ class TestLayerNorm:
 
 
 def _layer_norm_of_sum_numpy(x, y, gain, bias, g, eps=1e-5):
-    """Output and (x/y, gain, bias) gradients of ``layer_norm(add(x, y))``
-    in the operation order of the separate add and layer-norm tape ops."""
+    """Output and (x/y, gain, bias) gradients of the layer norm of ``x + y``,
+    in the operation order of separate add and layer-norm steps."""
     s = x + y
     mu = s.mean(axis=-1, keepdims=True)
     centered = s - mu
@@ -363,7 +366,7 @@ class TestAddLayerNorm:
         rng = np.random.default_rng(12)
         x, y, g = (rng.standard_normal(shape) for _ in range(3))
         gain, bias = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
-        out = add_layer_norm(*(Tensor(a, requires_grad=True) for a in (x, y, gain, bias)))
+        out = layer_norm_residual(*(Tensor(a, requires_grad=True) for a in (x, y, gain, bias)))
         grads = out._node.grad_fn(g)
         expected, gx, ggain, gbias = _layer_norm_of_sum_numpy(x, y, gain, bias, g)
         assert np.array_equal(out.data, expected)
@@ -379,15 +382,15 @@ class TestAddLayerNorm:
     ], ids=["residual", "rank0", "gain", "bias", "empty_rows"])
     def test_shape_errors(self, x, y, gain, bias):
         with pytest.raises(ShapeError):
-            add_layer_norm(Tensor(x), Tensor(y), Tensor(gain), Tensor(bias))
+            layer_norm_residual(Tensor(x), Tensor(y), Tensor(gain), Tensor(bias))
 
 
-def _matmul_add_chain(x, w, b):
-    """``x @ w + b`` as separate matmul and add tape ops (reshaping a 1-d x
-    to one row and back)."""
-    if x.data.ndim == 1:
-        return add(reshape(matmul(reshape(x, (1, -1)), w), (w.shape[1],)), b)
-    return add(matmul(x, w), b)
+def _matmul_add_numpy(x, w, b, g):
+    """Output and (x, w, b) gradients of ``x @ w + b``, for an output
+    gradient ``g``, as numpy products and a sum (a 1-d x as one row)."""
+    x2, g2 = x.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
+    return [(x2 @ w + b).reshape(g.shape), (g2 @ w.T).reshape(x.shape), x2.T @ g2,
+            g2.sum(axis=0)]
 
 
 class TestAffine:
@@ -397,13 +400,11 @@ class TestAffine:
         arrays = [rng.standard_normal(x_shape), rng.standard_normal((4, 3)),
                   rng.standard_normal(3)]
         r = rng.standard_normal(x_shape[:-1] + (3,))
-        results = []
-        for op in (affine, _matmul_add_chain):
-            tensors = [Tensor(a, requires_grad=True) for a in arrays]
-            out = op(*tensors)
-            backward(tsum(out * Tensor(r)))
-            results.append([out.data] + [t.grad for t in tensors])
-        for got, want in zip(*results):
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        out = linear(*tensors)
+        backward(project(out, r))
+        got = [out.data] + [t.grad for t in tensors]
+        for got, want in zip(got, _matmul_add_numpy(*arrays, r)):
             assert got.shape == want.shape and np.array_equal(got, want)
 
     @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
@@ -415,7 +416,7 @@ class TestAffine:
     ], ids=["x_rank", "w_rank", "d_in", "bias", "d_in_zero"])
     def test_shape_errors(self, x_shape, w_shape, b_shape):
         with pytest.raises(ShapeError):
-            affine(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+            linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
 
 
 class TestSoftmaxCrossEntropy:
@@ -465,27 +466,27 @@ class TestSoftmaxCrossEntropy:
 class TestBackwardEngine:
     def test_sum_gives_ones(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 4)), requires_grad=True)
-        backward(tsum(x))
+        backward(project(x, np.ones((3, 4))))
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        backward(tsum(x * x))
+        backward(project(x, x))
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_stale_graph(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = tsum(x * x)
+        loss = project(x, x)
         backward(loss)
         with pytest.raises(StaleGraph):
             backward(loss)
 
     def test_graph_through_consumed_node_is_stale(self):
         x = Tensor([3.0], requires_grad=True)
-        y = x * x
-        backward(tsum(y))
+        y = project(x, x)
+        backward(y)
         with pytest.raises(StaleGraph):
-            backward(tsum(y * 2.0))
+            backward(project(y, 2.0))
         np.testing.assert_array_equal(x.grad, [6.0])
 
     def test_scalar_leaf_loss_gets_grad_one(self):
@@ -495,8 +496,8 @@ class TestBackwardEngine:
 
     def test_backward_releases_nodes(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        y = x * x
-        loss = tsum(y)
+        y = add(x, x)
+        loss = project(y, np.ones(2))
         backward(loss)
         for node in (loss._node, y._node):
             assert node.done and node.parents == () and node.grad_fn is None
@@ -513,7 +514,7 @@ class TestBackwardEngine:
             base = tracemalloc.get_traced_memory()[0]
             out = feed_forward(multi_head_attention(x, 4, **params), params["wq"],
                                params["bq"], params["wk"], params["bk"])
-            loss = tsum(out)
+            loss = project(out, np.ones(out.shape))
             taped = tracemalloc.get_traced_memory()[0] - base
             backward(loss)
             gc.collect()
@@ -526,14 +527,14 @@ class TestBackwardEngine:
 
     def test_grad_accumulates_on_reuse(self):
         x = Tensor([3.0], requires_grad=True)
-        loss = tsum(x * x + x)  # d/dx = 2x + 1 = 7
+        loss = add(project(x, x), project(x, np.ones(1)))  # d/dx = 2x + 1 = 7
         backward(loss)
         np.testing.assert_allclose(x.grad, [7.0])
 
     def test_frozen_leaf_gets_no_grad(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         c = Tensor([5.0, 5.0])
-        backward(tsum(x * c))
+        backward(project(x, c))
         assert c.grad is None
         np.testing.assert_allclose(x.grad, [5.0, 5.0])
 
@@ -541,7 +542,7 @@ class TestBackwardEngine:
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, 4.0], requires_grad=True)
         s = stack([a, b])
-        backward(tsum(s * Tensor([[1.0, 2.0], [3.0, 4.0]])))
+        backward(project(s, np.array([[1.0, 2.0], [3.0, 4.0]])))
         np.testing.assert_allclose(a.grad, [1.0, 2.0])
         np.testing.assert_allclose(b.grad, [3.0, 4.0])
 
@@ -563,7 +564,7 @@ class TestNumericalHygiene:
     def test_layer_norm_bounded_inputs(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.uniform(-1e3, 1e3, size=(10, 12)))
-        out = add_layer_norm(x, _zeros_like(x), Tensor(np.ones(12)), Tensor(np.zeros(12))).data
+        out = layer_norm_residual(x, _zeros_like(x), Tensor(np.ones(12)), Tensor(np.zeros(12))).data
         assert np.all(np.isfinite(out))
 
     def test_cross_entropy_bounded_inputs(self):
@@ -582,22 +583,19 @@ def _leaf(rng, *shape):
 # One forward per recorded op, every operand requiring grad.
 TAPE_OPS = [
     ("add", lambda r: add(_leaf(r, 3, 4), _leaf(r, 4))),
-    ("mul", lambda r: mul(_leaf(r, 3, 4), _leaf(r, 3, 4))),
-    ("matmul", lambda r: matmul(_leaf(r, 2, 3, 4), _leaf(r, 2, 4, 5))),
     ("relu", lambda r: relu(_leaf(r, 3, 4))),
     ("reshape", lambda r: reshape(_leaf(r, 3, 4), (4, 3))),
     ("transpose", lambda r: transpose(_leaf(r, 2, 3, 4), (1, 0, 2))),
-    ("tsum", lambda r: tsum(_leaf(r, 3, 4), 0)),
     ("tmean", lambda r: tmean(_leaf(r, 3, 4), 1)),
     ("stack", lambda r: stack([_leaf(r, 3), _leaf(r, 3)])),
     ("softmax", lambda r: softmax(_leaf(r, 3, 4))),
     ("attention", lambda r: attention(_leaf(r, 2, 3, 4), _leaf(r, 2, 5, 4),
                                       _leaf(r, 2, 5, 3))),
     ("conv1d", lambda r: conv1d(_leaf(r, 2, 9), _leaf(r, 3, 2, 3), _leaf(r, 3), stride=2)),
-    ("add_layer_norm", lambda r: add_layer_norm(_leaf(r, 3, 4), _leaf(r, 3, 4),
-                                                _leaf(r, 4), _leaf(r, 4))),
-    ("affine", lambda r: affine(_leaf(r, 3, 4), _leaf(r, 4, 2), _leaf(r, 2))),
-    ("affine", lambda r: affine(_leaf(r, 4), _leaf(r, 4, 2), _leaf(r, 2))),
+    ("layer_norm_residual", lambda r: layer_norm_residual(_leaf(r, 3, 4), _leaf(r, 3, 4),
+                                                          _leaf(r, 4), _leaf(r, 4))),
+    ("linear", lambda r: linear(_leaf(r, 3, 4), _leaf(r, 4, 2), _leaf(r, 2))),
+    ("linear", lambda r: linear(_leaf(r, 4), _leaf(r, 4, 2), _leaf(r, 2))),
     ("softmax_cross_entropy", lambda r: softmax_cross_entropy(_leaf(r, 3, 2), [0, 1, 1])),
 ]
 
@@ -728,7 +726,8 @@ class TestTapeContracts:
         gc.collect()
         tracemalloc.start()
         try:
-            loss = tsum(forward())
+            out = forward()
+            loss = project(out, np.ones(out.shape))
             gc.collect()
             taped = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
