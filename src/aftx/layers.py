@@ -6,13 +6,10 @@ container of named parameters.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import HeadMismatch, OddDimension, ShapeError
-from .tensor import (Tensor, _weights_into, attention, layer_norm_residual, linear, relu,
-                     reshape, transpose)
+from .tensor import Tensor, attention, layer_norm_residual, linear, relu, reshape, transpose
 
 
 def positional_encoding(num_frames: int, dim: int) -> Tensor:
@@ -34,23 +31,15 @@ def positional_encoding(num_frames: int, dim: int) -> Tensor:
     return Tensor(table)
 
 
-def multi_head_attention(
-    x: Tensor,
-    num_heads: int,
-    wq, bq, wk, bk, wv, bv, wo, bo,
-    return_weights: bool = False,
-):
+def multi_head_attention(x: Tensor, num_heads: int, wq, bq, wk, bk, wv, bv, wo, bo) -> Tensor:
     """Scaled dot-product self-attention over ``x`` [frames, dim].
 
     Queries, keys and values are linear projections of ``x``; each of the
     ``num_heads`` heads attends with ``attention``, softmax(Q Kᵀ /
     sqrt(dim/heads)) V, the head outputs are concatenated and passed through
-    the output projection.
-
-    With ``return_weights`` the read-only per-head attention weights [heads,
-    frames, frames] are returned alongside, as a plain array whose rows sum
-    to one.  They are built only then, one head at a time, by the float
-    operations that ``attention`` uses, which itself never keeps them.
+    the output projection.  ``attention`` writes its output in the queries'
+    [frames, heads, head_dim] memory order, so the concatenation is a view
+    and the tape keeps one array for both ops.
     """
     if len(x.shape) != 2:
         raise ShapeError(f"attention expects x [frames, dim], got {x.shape}")
@@ -65,20 +54,8 @@ def multi_head_attention(
     def split(w, b):  # [frames, dim] projection -> [heads, frames, head_dim]
         return transpose(reshape(linear(x, w, b), (frames, num_heads, head_dim)), (1, 0, 2))
 
-    qh, kh, vh = split(wq, bq), split(wk, bk), split(wv, bv)
-    ctx = attention(qh, kh, vh)
-    if return_weights:
-        weights = np.empty((num_heads, frames, frames))
-        row_max, row_sum = np.empty((frames, 1)), np.empty((frames, 1))
-        q = qh.data * (1.0 / math.sqrt(head_dim))
-        for h in range(num_heads):
-            _weights_into(q[h], kh.data[h], weights[h], row_max, row_sum)
-        weights.flags.writeable = False
-    # attention keeps its own scaled copy of the queries; the unscaled
-    # projection is not kept past it
-    del qh
-    out = linear(reshape(transpose(ctx, (1, 0, 2)), (frames, dim)), wo, bo)
-    return (out, weights) if return_weights else out
+    ctx = attention(split(wq, bq), split(wk, bk), split(wv, bv))
+    return linear(reshape(transpose(ctx, (1, 0, 2)), (frames, dim)), wo, bo)
 
 
 def feed_forward(x: Tensor, w1, b1, w2, b2) -> Tensor:

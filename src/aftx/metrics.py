@@ -67,8 +67,17 @@ def phi(x, y) -> float:
     return float((n11 * n00 - n10 * n01) / np.sqrt(denom))
 
 
+def _unit_centred(v: np.ndarray) -> np.ndarray:
+    """``v`` minus its mean, divided by its largest magnitude before and after
+    centring (a vector of zeros stays zeros), so no sum over it can overflow
+    or underflow."""
+    v = v / max(np.abs(v).max(), np.finfo(np.float64).smallest_subnormal)
+    v = v - v.mean()
+    return v / max(np.abs(v).max(), np.finfo(np.float64).smallest_subnormal)
+
+
 def pearson(x, y) -> float:
-    """Sample Pearson correlation."""
+    """Sample Pearson correlation of two finite vectors of any magnitude."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
@@ -77,8 +86,7 @@ def pearson(x, y) -> float:
         raise NonFinite("pearson got a non-finite input")
     if len(x) < 2:
         raise UndefinedCorrelation("pearson needs at least two samples")
-    xc = x - x.mean()
-    yc = y - y.mean()
+    xc, yc = _unit_centred(x), _unit_centred(y)
     vx, vy = float(xc @ xc), float(yc @ yc)
     if vx == 0.0 or vy == 0.0:
         raise UndefinedCorrelation("pearson undefined: zero variance")

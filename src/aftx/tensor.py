@@ -12,12 +12,13 @@ parents that require grad (``linear`` keeps ``w`` only when ``x`` requires
 grad, ``relu`` keeps only its mask).  So an intermediate Tensor that the
 forward code drops frees its data unless a backward reads it.  A layer's
 bias and its residual sum are folded into the op that makes them
-(``linear``, ``layer_norm_residual``), and the 1/sqrt(d) query scale into
-``attention``, so no pre-bias product, residual sum or unscaled query is
-made to be kept.  ``attention`` saves no weights: it works through its
-batch one [frames_q, frames_k] slice at a time, in the forward and again in
-the backward, which recomputes each slice's weights from the row maxima and
-sums that the forward saved, so no array of that size outlives a slice.
+(``linear``, ``layer_norm_residual``), so no pre-bias product or residual
+sum is made to be kept.  ``attention`` scales its queries by 1/sqrt(d) one
+slice at a time, so no scaled copy of them is kept, writes its output in
+their memory order, so merging heads after it is a view, and saves no
+weights: it works through its batch one [frames_q, frames_k] slice at a
+time, in the forward and again in the backward, which recomputes each
+slice's weights from the row maxima and sums that the forward saved.
 
 ``backward`` consumes the graph it walks: it releases each node's parents
 and closure once it has used them, so saved arrays are freed as the walk
@@ -306,14 +307,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     equal batch dims, as one tape op (Vaswani et al. 2017, arXiv 1706.03762).
 
     ``q`` is [..., frames_q, d], ``k`` [..., frames_k, d] and ``v``
-    [..., frames_k, d_v]; returns the output Tensor [..., frames_q, d_v].
-    The scale multiplies q as one array before the score products.  Each batch slice's weights [frames_q, frames_k] go into one reused
-    scratch array, so no array of that size outlives a slice.  The tape
-    keeps the scaled q, k, v, the output and each row's softmax max and
-    sum, not the weights: the backward recomputes each slice's weights from
-    the same inputs and saved row statistics by the same float operations,
-    so they equal the forward's bit for bit.  It uses rowsum(g ∘ out), which
-    equals rowsum((g vᵀ) ∘ weights), on [frames_q, d_v] (Dao et al. 2022).
+    [..., frames_k, d_v]; returns the output Tensor [..., frames_q, d_v],
+    laid out in memory in q's axis order, so that the heads of split-head
+    views merge again as a view.  Each batch slice's scaled queries and
+    weights [frames_q, frames_k] go into reused buffers, so no array of
+    that size outlives a slice.  The tape keeps q, k, v, the output and
+    each row's softmax max and sum, not the weights: the backward
+    recomputes each slice's weights by the same float operations, so they
+    equal the forward's bit for bit.  It scales each query slice into its
+    slice of q's gradient, which gs @ k overwrites once the recompute and
+    k's gradient have read it.  Before any of that, it computes every
+    slice's rowsum(g ∘ out), which equals rowsum((g vᵀ) ∘ weights) (Dao et
+    al. 2022), through one [frames_q, d_v] buffer.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
@@ -329,39 +334,49 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     if k.shape[-2] == 0:
         raise ShapeError("attention needs at least one key frame")
     scale = 1.0 / math.sqrt(q.shape[-1])
-    q_data, k_data = q.data * scale, k.data
-    batch, p_shape = q.shape[:-2], (q.shape[-2], k.shape[-2])
-    out = np.empty(q.shape[:-1] + v.shape[-1:])
-    p = np.empty(p_shape)
-    row_max, row_sum = np.empty(q.shape[:-1] + (1,)), np.empty(q.shape[:-1] + (1,))
+    q_data, k_data = q.data, k.data
+    batch, q_shape, p_shape = q.shape[:-2], q.shape, (q.shape[-2], k.shape[-2])
+    out = np.empty_like(q_data, shape=q_shape[:-1] + v.shape[-1:])
+    qs, p = np.empty(q_shape[-2:]), np.empty(p_shape)
+    row_max, row_sum = np.empty(q_shape[:-1] + (1,)), np.empty(q_shape[:-1] + (1,))
     for i in np.ndindex(batch):
-        _weights_into(q_data[i], k_data[i], p, row_max[i], row_sum[i])
+        np.multiply(q_data[i], scale, out=qs)
+        _weights_into(qs, k_data[i], p, row_max[i], row_sum[i])
         np.matmul(p, v.data[i], out=out[i])
     q_grad, k_grad, v_grad, v_shape = q.requires_grad, k.requires_grad, v.requires_grad, v.shape
     # the score gradient gs is needed by q's and k's gradients only
     v_data, saved_out = (v.data, out) if q_grad or k_grad else (None, None)
 
     def grad_fn(g):
-        gq = np.empty(q_data.shape) if q_grad else None
+        if v_data is not None:
+            dots, prod = np.empty(row_sum.shape), np.empty(saved_out.shape[-2:])
+            for i in np.ndindex(batch):
+                np.multiply(g[i], saved_out[i], out=prod)
+                prod.sum(axis=-1, keepdims=True, out=dots[i])
+            del prod
+        gq = np.empty(q_shape) if q_grad else None
         # k's gradient is a [..., frames_k, d] view of the q_hᵀ gs_h products,
         # the layout a batched product gives; a C-ordered copy would change
         # the summation order of reductions further down the backward
-        gk_t = np.empty(batch + (q_data.shape[-1], p_shape[1])) if k_grad else None
+        gk_t = np.empty(batch + (q_shape[-1], p_shape[1])) if k_grad else None
         gv = np.empty(v_shape) if v_grad else None
+        qs = np.empty(q_shape[-2:]) if gq is None else None
         p = np.empty(p_shape)
         gs = np.empty(p_shape) if v_data is not None else None
         for i in np.ndindex(batch):
-            _weights_into(q_data[i], k_data[i], p, row_max[i], row_sum[i], rows_known=True)
+            qs_i = qs if gq is None else gq[i]
+            np.multiply(q_data[i], scale, out=qs_i)
+            _weights_into(qs_i, k_data[i], p, row_max[i], row_sum[i], rows_known=True)
             if gv is not None:
                 np.matmul(p.T, g[i], out=gv[i])
             if gs is not None:
                 np.matmul(g[i], v_data[i].T, out=gs)
-                gs -= (g[i] * saved_out[i]).sum(axis=-1, keepdims=True)
+                gs -= dots[i]
                 gs *= p
+                if gk_t is not None:
+                    np.matmul(qs_i.T, gs, out=gk_t[i])
                 if gq is not None:
                     np.matmul(gs, k_data[i], out=gq[i])
-                if gk_t is not None:
-                    np.matmul(q_data[i].T, gs, out=gk_t[i])
         if gq is not None:
             gq *= scale
         return gq, None if gk_t is None else np.swapaxes(gk_t, -1, -2), gv

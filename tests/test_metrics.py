@@ -167,6 +167,11 @@ class TestPhi:
         with pytest.raises(UndefinedCorrelation):
             phi(np.ones(10, dtype=int), np.array([0, 1] * 5))
 
+    def test_constant_vector_undefined_whatever_its_value(self):
+        # ten copies of 0.3 do not average to exactly 0.3
+        with pytest.raises(UndefinedCorrelation):
+            pearson(np.full(10, 0.3), np.arange(10.0))
+
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ShapeError):
             phi([0, 1, 1], [0, 1])
@@ -203,6 +208,16 @@ class TestPearson:
         rng = np.random.default_rng(10)
         x, y = rng.standard_normal(25), rng.standard_normal(25)
         assert pearson(x, y) == pytest.approx(pearson(y, x), abs=1e-15)
+
+    @pytest.mark.parametrize("x, y, unscaled_x, unscaled_y", [
+        ([1e200, -1e200, 0.0], [1.0, 2.0, 3.0], [1.0, -1.0, 0.0], [1.0, 2.0, 3.0]),
+        ([1e200, -1e200, 0.0], [1e200, -1e200, 0.0], [1.0, -1.0, 0.0], [1.0, -1.0, 0.0]),
+        ([1e-200, -1e-200, 0.0], [1e-200, -1e-200, 0.0], [1.0, -1.0, 0.0], [1.0, -1.0, 0.0]),
+    ], ids=["overflow-one", "overflow-both", "underflow"])
+    def test_squares_out_of_float_range(self, x, y, unscaled_x, unscaled_y):
+        """Pearson ignores scale, so vectors whose squares overflow or
+        underflow correlate as their unscaled shapes do."""
+        assert pearson(x, y) == pytest.approx(pearson_oracle(unscaled_x, unscaled_y), abs=1e-15)
 
     def test_zero_variance_undefined(self):
         with pytest.raises(UndefinedCorrelation):

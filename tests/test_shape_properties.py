@@ -4,7 +4,9 @@ Each op gets operands of the shapes a valid call needs, built from a few
 random sides, and half the time one operand gets a random shape instead.
 A call either returns the documented output shape, and then a backward
 from it gives every operand a gradient of its own shape, or it raises an
-AftxError: never a bare numpy or Python error.
+AftxError: never a bare numpy or Python error.  Over random shapes too,
+``attention`` computes the same numbers whatever the memory layout of its
+operands.
 """
 
 import numpy as np
@@ -84,3 +86,29 @@ def test_documented_shape_or_aftx_error(name, data):
     assert [o.shape for o in outs] == documented(shapes, k)
     backward(project(outs[0], np.ones(outs[0].shape)))
     assert [t.grad.shape for t in operands] == [t.shape for t in operands]
+
+
+@given(frames_q=st.integers(1, 24), frames_k=st.integers(1, 24), heads=st.integers(1, 4),
+       d=st.integers(1, 40), d_v=st.integers(1, 40))
+def test_attention_bit_identical_across_layouts(frames_q, frames_k, heads, d, d_v):
+    """The output and the q, k and v gradients are the same bit for bit
+    whether the operands and the output gradient are C-ordered [heads,
+    frames, width] arrays or the strided split-head views of [frames, heads *
+    width] projections that multi_head_attention passes.  That holds where
+    every frames and width is at least 2: numpy's matmul then calls BLAS
+    gemm, which packs its operands.  With a side of 1 it calls BLAS dot or
+    gemv on strided vectors, whose kernels sum in another order, so there
+    the two agree only to rounding."""
+    rng = np.random.default_rng([frames_q, frames_k, heads, d, d_v])
+    views = [rng.standard_normal((frames, heads * width)).reshape(frames, heads, width)
+             .transpose(1, 0, 2) for frames, width in
+             ((frames_q, d), (frames_k, d), (frames_k, d_v), (frames_q, d_v))]
+    results = []
+    for arrays in (views, [np.ascontiguousarray(a) for a in views]):
+        out = attention(*(Tensor(a, requires_grad=True) for a in arrays[:3]))
+        results.append([out.data, *out._node.grad_fn(arrays[3])])
+    for got, expected in zip(*results):
+        if min(frames_q, frames_k, d, d_v) >= 2:
+            assert np.array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
