@@ -225,6 +225,9 @@ def _column_indices(reader, path, columns: tuple[str, ...]) -> list[int]:
     missing = [name for name in columns if name not in position]
     if missing:
         raise FormatError(f"{path}: header {header} lacks {missing}")
+    repeated = [name for name in columns if header.count(name) > 1]
+    if repeated:
+        raise FormatError(f"{path}: header {header} names {repeated} more than once")
     return [position[name] for name in columns]
 
 
@@ -245,7 +248,8 @@ def read_scores_csv(path) -> dict[str, JudgeScores]:
     is read once, into one record per row; no row is kept as Python objects.
 
     Raises FormatError for an empty file, a header that lacks one of
-    ``clip_id``, ``judge_id``, ``trait`` or ``score``, a file with no score
+    ``clip_id``, ``judge_id``, ``trait`` or ``score`` or names one twice
+    (naming it), a file with no score
     rows, a row too short to hold every column or with a non-numeric score
     (naming its line), a trait outside ``TRAITS`` and ``DIMENSIONS`` (naming
     the line of its first row), a second score for a cell (naming the line of

@@ -13,12 +13,14 @@ grad, ``relu`` keeps only its mask).  So an intermediate Tensor that the
 forward code drops frees its data unless a backward reads it.  A layer's
 bias and its residual sum are folded into the op that makes them
 (``linear``, ``layer_norm_residual``), so no pre-bias product or residual
-sum is made to be kept.  ``attention`` scales its queries by 1/sqrt(d) one
-slice at a time, so no scaled copy of them is kept, writes its output in
-their memory order, so merging heads after it is a view, and saves no
-weights: it works through its batch one [frames_q, frames_k] slice at a
-time, in the forward and again in the backward, which recomputes each
-slice's weights from the row maxima and sums that the forward saved.
+sum is made to be kept.  Each encoder sublayer is one op
+(``multi_head_attention``, ``feed_forward``) that keeps its input and
+recomputes its inner activations in the backward, by the same float
+operations as the forward, so they equal the forward's bit for bit:
+attention keeps only its input, its merged head outputs and each row's
+softmax max and sum, and recomputes the q, k and v projections and each
+head's [frames, frames] weights, one head at a time; the feed-forward
+keeps only its input and recomputes its hidden layer.
 
 ``backward`` consumes the graph it walks: it releases each node's parents
 and closure once it has used them, so saved arrays are freed as the walk
@@ -36,6 +38,7 @@ import numpy as np
 from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import (
+    HeadMismatch,
     InputTooShort,
     LabelError,
     NonFinite,
@@ -72,7 +75,9 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data)
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a tensor of one element, got shape {self.shape}")
+        return self.data.item()
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -150,37 +155,55 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (a, b), grad_fn)
 
 
+def _check_layer(op: str, d_in: int, w: Tensor, b: Tensor) -> int:
+    """The output width of a layer that maps width ``d_in`` through ``w``
+    [d_in, d_out] plus ``b`` [d_out]; ShapeError if the shapes do not fit."""
+    if w.data.ndim != 2 or w.shape[0] != d_in:
+        raise ShapeError(f"{op} expects a weight of shape ({d_in}, d_out), got {w.shape}")
+    if d_in == 0:
+        raise ShapeError(f"{op} needs an input dim of at least 1")
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"{op} bias must have shape ({w.shape[1]},), got {b.shape}")
+    return w.shape[1]
+
+
+def _affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x2 @ w + b`` with the bias added in place, so no pre-bias product
+    outlives it: the float operations of every linear layer, in a forward
+    and in a backward's recompute alike."""
+    out = x2 @ w
+    out += b
+    return out
+
+
+def _linear_grads(g2: np.ndarray, x2, w, flags) -> tuple:
+    """The gradients of ``x2 @ w + b`` [rows, d_out] with respect to x2, w
+    and b for the output gradient ``g2``, each None where ``flags`` (three
+    bools) says it is not needed; x2's is read only for w's, w for x2's."""
+    x_grad, w_grad, b_grad = flags
+    return (g2 @ w.T if x_grad else None, x2.T @ g2 if w_grad else None,
+            g2.sum(axis=0) if b_grad else None)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one tape op: ``x`` is [d_in] or [rows, d_in], ``w``
-    [d_in, d_out] and ``b`` [d_out].  The bias is added in place, so no
-    pre-bias product outlives the forward."""
+    [d_in, d_out] and ``b`` [d_out]."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim not in (1, 2) or w.data.ndim != 2:
-        raise ShapeError(f"linear expects x [d_in] or [rows, d_in] and w [d_in, d_out], "
-                         f"got {x.shape}, {w.shape}")
-    d_in, d_out = w.shape
-    if x.shape[-1] != d_in:
-        raise ShapeError(f"linear expects input dim {d_in}, got {x.shape[-1]}")
-    if d_in == 0:
-        raise ShapeError("linear needs an input dim of at least 1")
-    if b.shape != (d_out,):
-        raise ShapeError(f"linear bias must have shape ({d_out},), got {b.shape}")
-    x2 = x.data.reshape(-1, d_in)
-    rows = x2.shape[0]     # reshape(-1, d_out) cannot infer rows when d_out == 0
-    data = x2 @ w.data
-    data += b.data
-    x_shape, b_grad = x.shape, b.requires_grad
-    w_data = w.data if x.requires_grad else None
-    x2 = x2 if w.requires_grad else None
+    if x.data.ndim not in (1, 2):
+        raise ShapeError(f"linear expects x [d_in] or [rows, d_in], got {x.shape}")
+    d_out = _check_layer("linear", x.shape[-1], w, b)
+    x2 = x.data.reshape(-1, x.shape[-1])
+    rows, x_shape = x2.shape[0], x.shape  # reshape(-1, d_out) cannot infer rows if d_out == 0
+    data = _affine(x2, w.data, b.data)
+    flags = (x.requires_grad, w.requires_grad, b.requires_grad)
+    w_data = w.data if flags[0] else None
+    x2 = x2 if flags[1] else None
 
     def grad_fn(g):
-        g2 = g.reshape(rows, d_out)
-        gx = None if w_data is None else (g2 @ w_data.T).reshape(x_shape)
-        gw = None if x2 is None else x2.T @ g2
-        gb = g2.sum(axis=0) if b_grad else None
-        return gx, gw, gb
+        gx, gw, gb = _linear_grads(g.reshape(rows, d_out), x2, w_data, flags)
+        return None if gx is None else gx.reshape(x_shape), gw, gb
 
-    return _from_op(data.reshape(x.shape[:-1] + (d_out,)), (x, w, b), grad_fn)
+    return _from_op(data.reshape(x_shape[:-1] + (d_out,)), (x, w, b), grad_fn)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -302,86 +325,176 @@ def _weights_into(q: np.ndarray, k: np.ndarray, out: np.ndarray, row_max: np.nda
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention softmax(q kᵀ / sqrt(d)) v over stacks with
-    equal batch dims, as one tape op (Vaswani et al. 2017, arXiv 1706.03762).
+def _attention_into(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
+                    row_max: np.ndarray, row_sum: np.ndarray) -> None:
+    """softmax(q kᵀ / sqrt(d)) v of each head (Vaswani et al. 2017, arXiv
+    1706.03762) into ``out`` [heads, frames_q, d_v], from ``q`` [heads,
+    frames_q, d], ``k`` [heads, frames_k, d] and ``v`` [heads, frames_k,
+    d_v].  ``q`` is scaled in place.  Each head's weights go into one
+    reused [frames_q, frames_k] buffer, and each row's softmax max and sum
+    into ``row_max`` and ``row_sum`` [heads, frames_q, 1]."""
+    q *= 1.0 / math.sqrt(q.shape[-1])
+    p = np.empty((q.shape[-2], k.shape[-2]))
+    for i in range(len(q)):
+        _weights_into(q[i], k[i], p, row_max[i], row_sum[i])
+        np.matmul(p, v[i], out=out[i])
 
-    ``q`` is [..., frames_q, d], ``k`` [..., frames_k, d] and ``v``
-    [..., frames_k, d_v]; returns the output Tensor [..., frames_q, d_v],
-    laid out in memory in q's axis order, so that the heads of split-head
-    views merge again as a view.  Each batch slice's scaled queries and
-    weights [frames_q, frames_k] go into reused buffers, so no array of
-    that size outlives a slice.  The tape keeps q, k, v, the output and
-    each row's softmax max and sum, not the weights: the backward
-    recomputes each slice's weights by the same float operations, so they
-    equal the forward's bit for bit.  It scales each query slice into its
-    slice of q's gradient, which gs @ k overwrites once the recompute and
-    k's gradient have read it.  Before any of that, it computes every
-    slice's rowsum(g ∘ out), which equals rowsum((g vᵀ) ∘ weights) (Dao et
-    al. 2022), through one [frames_q, d_v] buffer.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if min(q.data.ndim, k.data.ndim, v.data.ndim) < 2:
-        raise ShapeError("attention needs operands of rank >= 2")
-    if not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
-        raise ShapeError(f"attention batch dims differ: {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention query and key dims differ: {q.shape}, {k.shape}")
-    if q.shape[-1] == 0:
-        raise ShapeError("attention needs a query and key dim of at least 1")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention key and value frames differ: {k.shape}, {v.shape}")
-    if k.shape[-2] == 0:
-        raise ShapeError("attention needs at least one key frame")
+
+def _attention_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, out, g: np.ndarray,
+                     row_max: np.ndarray, row_sum: np.ndarray, need):
+    """The backward of ``_attention_into`` for the output gradient ``g``, for
+    the gradients that ``need`` (three flags, for q, k and v) asks for.  It
+    writes q's and v's gradients over ``q`` and ``v``, scales ``q`` in place
+    whichever it asks for, and returns k's gradient (or None) as a [heads,
+    frames_k, d] view of a [heads, d, frames_k] array, the layout of the
+    qᵀ gs products it is made of.  Merged over heads it is a column-major
+    [frames_k, heads * d] view, and a reduction over it (such as a key bias
+    gradient) sums in that order, the order of the batched formula.
+    ``out`` is the forward's output, read only for q's and k's gradients.
+
+    Each head's weights are recomputed from ``row_max`` and ``row_sum`` by
+    the forward's float operations, so they equal the forward's bit for
+    bit.  Before any [frames_q, frames_k] scratch array exists, every
+    head's rowsum(g ∘ out), which equals rowsum((g vᵀ) ∘ weights) (Dao et
+    al. 2022), is computed through one [frames_q, d_v] buffer.  Each head
+    overwrites its slice of v once its score gradient has read it, and of
+    q once k's gradient has read the scaled queries."""
+    need_q, need_k, need_v = need
     scale = 1.0 / math.sqrt(q.shape[-1])
-    q_data, k_data = q.data, k.data
-    batch, q_shape, p_shape = q.shape[:-2], q.shape, (q.shape[-2], k.shape[-2])
-    out = np.empty_like(q_data, shape=q_shape[:-1] + v.shape[-1:])
-    qs, p = np.empty(q_shape[-2:]), np.empty(p_shape)
-    row_max, row_sum = np.empty(q_shape[:-1] + (1,)), np.empty(q_shape[:-1] + (1,))
-    for i in np.ndindex(batch):
-        np.multiply(q_data[i], scale, out=qs)
-        _weights_into(qs, k_data[i], p, row_max[i], row_sum[i])
-        np.matmul(p, v.data[i], out=out[i])
-    q_grad, k_grad, v_grad, v_shape = q.requires_grad, k.requires_grad, v.requires_grad, v.shape
-    # the score gradient gs is needed by q's and k's gradients only
-    v_data, saved_out = (v.data, out) if q_grad or k_grad else (None, None)
+    q *= scale
+    if need_q or need_k:
+        dots, prod = np.empty(row_sum.shape), np.empty(out.shape[-2:])
+        for i in range(len(q)):
+            np.multiply(g[i], out[i], out=prod)
+            prod.sum(axis=-1, keepdims=True, out=dots[i])
+        del prod
+        gs = np.empty((q.shape[-2], k.shape[-2]))
+    gk = np.empty((len(q), q.shape[-1], k.shape[-2])) if need_k else None
+    p = np.empty((q.shape[-2], k.shape[-2]))
+    for i in range(len(q)):
+        _weights_into(q[i], k[i], p, row_max[i], row_sum[i], rows_known=True)
+        if need_q or need_k:
+            np.matmul(g[i], v[i].T, out=gs)
+            gs -= dots[i]
+            gs *= p
+        if need_v:
+            np.matmul(p.T, g[i], out=v[i])
+        if need_k:
+            np.matmul(q[i].T, gs, out=gk[i])
+        if need_q:
+            np.matmul(gs, k[i], out=q[i])
+    if need_q:
+        q *= scale
+    return None if gk is None else np.swapaxes(gk, -1, -2)
+
+
+def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: Tensor,
+                         bk: Tensor, wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor) -> Tensor:
+    """Scaled dot-product self-attention over ``x`` [frames, dim] as one
+    tape op: q, k and v are linear projections of ``x`` ([dim, dim]
+    weights); each of the ``num_heads`` heads attends with softmax(q kᵀ /
+    sqrt(dim/heads)) v; the head outputs are merged and pass through the
+    output projection ``wo`` [dim, d_out] plus ``bo``.
+
+    The heads write their outputs straight into one [frames, heads,
+    head_dim] array, which is also the output projection's input.  The node
+    keeps that array, ``x`` and each row's softmax max and sum.  Its
+    backward recomputes q, k and v with ``linear``'s float operations and
+    each head's weights from the row statistics, and writes q's and v's
+    gradients over the recomputed q and v head by head.  Its parents are
+    (x, wq, bq, x, wk, bk, x, wv, bv, wo, bo), so x's three projection
+    gradients are summed in the order q, k, v.
+    """
+    x, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv,
+                                                                 wo, bo))
+    if x.data.ndim != 2:
+        raise ShapeError(f"attention expects x [frames, dim], got {x.shape}")
+    frames, dim = x.shape
+    if not isinstance(num_heads, (int, np.integer)) or num_heads < 1:
+        raise HeadMismatch(f"attention needs a positive whole number of heads, got {num_heads!r}")
+    if dim % num_heads != 0:
+        raise HeadMismatch(f"model dim {dim} is not divisible by {num_heads} heads")
+    projections = [(wq, bq), (wk, bk), (wv, bv)]
+    for w, b in projections:
+        if _check_layer("attention", dim, w, b) != dim:
+            raise ShapeError(f"attention projections must be [{dim}, {dim}], got {w.shape}")
+    _check_layer("attention", dim, wo, bo)
+    if frames == 0:
+        raise ShapeError("attention needs at least one frame")
+
+    def split(a):  # [frames, dim] -> [heads, frames, head_dim] view
+        return a.reshape(frames, num_heads, dim // num_heads).transpose(1, 0, 2)
+
+    x2 = x.data
+    proj = [(w.data, b.data) for w, b in projections]
+    merged = np.empty((frames, dim))
+    row_max, row_sum = np.empty((num_heads, frames, 1)), np.empty((num_heads, frames, 1))
+    _attention_into(*(split(_affine(x2, w, b)) for w, b in proj), split(merged),
+                    row_max, row_sum)
+    data = _affine(merged, wo.data, bo.data)
+
+    flags = [(x.requires_grad, w.requires_grad, b.requires_grad) for w, b in projections]
+    need = [any(f) for f in flags]
+    out_flags = (any(need), wo.requires_grad, bo.requires_grad)
+    wo_data = wo.data if out_flags[0] else None
+    x2 = x2 if out_flags[0] else None
+    merged = merged if out_flags[1] or need[0] or need[1] else None
 
     def grad_fn(g):
-        if v_data is not None:
-            dots, prod = np.empty(row_sum.shape), np.empty(saved_out.shape[-2:])
-            for i in np.ndindex(batch):
-                np.multiply(g[i], saved_out[i], out=prod)
-                prod.sum(axis=-1, keepdims=True, out=dots[i])
-            del prod
-        gq = np.empty(q_shape) if q_grad else None
-        # k's gradient is a [..., frames_k, d] view of the q_hᵀ gs_h products,
-        # the layout a batched product gives; a C-ordered copy would change
-        # the summation order of reductions further down the backward
-        gk_t = np.empty(batch + (q_shape[-1], p_shape[1])) if k_grad else None
-        gv = np.empty(v_shape) if v_grad else None
-        qs = np.empty(q_shape[-2:]) if gq is None else None
-        p = np.empty(p_shape)
-        gs = np.empty(p_shape) if v_data is not None else None
-        for i in np.ndindex(batch):
-            qs_i = qs if gq is None else gq[i]
-            np.multiply(q_data[i], scale, out=qs_i)
-            _weights_into(qs_i, k_data[i], p, row_max[i], row_sum[i], rows_known=True)
-            if gv is not None:
-                np.matmul(p.T, g[i], out=gv[i])
-            if gs is not None:
-                np.matmul(g[i], v_data[i].T, out=gs)
-                gs -= dots[i]
-                gs *= p
-                if gk_t is not None:
-                    np.matmul(qs_i.T, gs, out=gk_t[i])
-                if gq is not None:
-                    np.matmul(gs, k_data[i], out=gq[i])
-        if gq is not None:
-            gq *= scale
-        return gq, None if gk_t is None else np.swapaxes(gk_t, -1, -2), gv
+        grads = [None] * 9
+        if x2 is not None:
+            projected = [_affine(x2, w, b) for w, b in proj]
+            gk = _attention_grads(*(split(a) for a in projected),
+                                  None if merged is None else split(merged),
+                                  split(g @ wo_data.T), row_max, row_sum, need)
+            if gk is not None:   # a [frames, dim] view, not a C-ordered copy
+                projected[1] = gk.transpose(1, 0, 2).reshape(frames, dim)
+            grads = [grad for gp, (w, _), f in zip(projected, proj, flags)
+                     for grad in _linear_grads(gp, x2, w, f)]
+        # wo's and bo's gradients last: none is held through the attention backward
+        return (*grads, *_linear_grads(g, merged, None, (False, *out_flags[1:]))[1:])
 
-    return _from_op(out, (q, k, v), grad_fn)
+    return _from_op(data, (x, wq, bq, x, wk, bk, x, wv, bv, wo, bo), grad_fn)
+
+
+def _relu_affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """relu(x2 @ w + b) by the float operations of ``linear`` and ``relu``,
+    with the ReLU applied in place, and its mask."""
+    h = _affine(x2, w, b)
+    mask = h > 0
+    np.copyto(h, 0.0, where=~mask)     # relu's np.where(mask, h, 0.0)
+    return h, mask
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The position-wise two-layer network relu(x @ w1 + b1) @ w2 + b2 as one
+    tape op, for ``x`` [d_in] or [rows, d_in].  The node keeps only ``x``
+    (and the weights it reads); its backward recomputes the hidden layer
+    and its ReLU mask by the forward's float operations."""
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if x.data.ndim not in (1, 2):
+        raise ShapeError(f"feed_forward expects x [d_in] or [rows, d_in], got {x.shape}")
+    hidden = _check_layer("feed_forward", x.shape[-1], w1, b1)
+    d_out = _check_layer("feed_forward", hidden, w2, b2)
+    x2 = x.data.reshape(-1, x.shape[-1])
+    rows, x_shape, w1_data, b1_data = x2.shape[0], x.shape, w1.data, b1.data
+    data = _affine(_relu_affine(x2, w1_data, b1_data)[0], w2.data, b2.data)
+    flags = (x.requires_grad, w1.requires_grad, b1.requires_grad)
+    out_flags = (any(flags), w2.requires_grad, b2.requires_grad)
+    w2_data = w2.data if out_flags[0] else None
+    x2 = x2 if out_flags[0] or out_flags[1] else None
+
+    def grad_fn(g):
+        h, mask = (None, None) if x2 is None else _relu_affine(x2, w1_data, b1_data)
+        gh, gw2, gb2 = _linear_grads(g.reshape(rows, d_out), h, w2_data, out_flags)
+        if gh is None:
+            return None, None, None, gw2, gb2
+        del h
+        gh *= mask
+        gx, gw1, gb1 = _linear_grads(gh, x2, w1_data, flags)
+        return None if gx is None else gx.reshape(x_shape), gw1, gb1, gw2, gb2
+
+    return _from_op(data.reshape(x_shape[:-1] + (d_out,)), (x, w1, b1, w2, b2), grad_fn)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:

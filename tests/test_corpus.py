@@ -295,3 +295,9 @@ class TestCsvRoundTrips:
         path.write_text(text)
         with pytest.raises(FormatError):
             read_scores_csv(path)
+
+    def test_scores_header_naming_a_column_twice_rejected(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("clip_id,judge_id,trait,score,clip_id\nc1,j1,EX,3,c2\n")
+        with pytest.raises(FormatError, match=r"\['clip_id'\] more than once"):
+            read_scores_csv(path)

@@ -5,8 +5,8 @@ random sides, and half the time one operand gets a random shape instead.
 A call either returns the documented output shape, and then a backward
 from it gives every operand a gradient of its own shape, or it raises an
 AftxError: never a bare numpy or Python error.  Over random shapes too,
-``attention`` computes the same numbers whatever the memory layout of its
-operands.
+the attention helpers behind ``multi_head_attention`` compute the same
+numbers whatever the memory layout of their operands.
 """
 
 import numpy as np
@@ -15,11 +15,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aftx.errors import AftxError
-from aftx.layers import multi_head_attention
+from aftx.layers import feed_forward, multi_head_attention
 from aftx.tensor import (
     Tensor,
+    _attention_grads,
+    _attention_into,
     add,
-    attention,
     backward,
     conv1d,
     layer_norm_residual,
@@ -45,9 +46,6 @@ OPS = {
     "softmax": (2, lambda a, b: [(a, b)],
                 lambda ts, k: softmax(ts[0], k),
                 lambda s, k: [s[0]]),
-    "attention": (4, lambda fq, fk, d, dv: [(2, fq, d), (2, fk, d), (2, fk, dv)],
-                  lambda ts, k: attention(*ts),
-                  lambda s, k: [s[0][:-1] + s[2][-1:]]),
     "conv1d": (4, lambda ci, extra, co, w: [(ci, w + extra), (co, ci, w), (co,)],
                lambda ts, k: conv1d(*ts, stride=k),
                lambda s, k: [(s[1][0], (s[0][1] - s[1][2]) // k + 1)]),
@@ -58,6 +56,9 @@ OPS = {
                                                  (d, d), (d,), (d, o), (o,)],
                              lambda ts, k: multi_head_attention(ts[0], k, *ts[1:]),
                              lambda s, k: [s[0][:-1] + s[7][-1:]]),
+    "feed_forward": (4, lambda r, d, h, o: [(r, d), (d, h), (h,), (h, o), (o,)],
+                     lambda ts, k: feed_forward(*ts),
+                     lambda s, k: [s[0][:-1] + s[3][-1:]]),
 }
 
 
@@ -91,22 +92,25 @@ def test_documented_shape_or_aftx_error(name, data):
 @given(frames_q=st.integers(1, 24), frames_k=st.integers(1, 24), heads=st.integers(1, 4),
        d=st.integers(1, 40), d_v=st.integers(1, 40))
 def test_attention_bit_identical_across_layouts(frames_q, frames_k, heads, d, d_v):
-    """The output and the q, k and v gradients are the same bit for bit
-    whether the operands and the output gradient are C-ordered [heads,
-    frames, width] arrays or the strided split-head views of [frames, heads *
-    width] projections that multi_head_attention passes.  That holds where
-    every frames and width is at least 2: numpy's matmul then calls BLAS
-    gemm, which packs its operands.  With a side of 1 it calls BLAS dot or
-    gemv on strided vectors, whose kernels sum in another order, so there
-    the two agree only to rounding."""
+    """The helpers' output and q, k and v gradients are the same bit for bit
+    whether the operands, the output and the output gradient are C-ordered
+    [heads, frames, width] arrays or the strided split-head views of
+    [frames, heads * width] arrays that multi_head_attention passes.  That
+    holds where every frames and width is at least 2: numpy's matmul then
+    calls BLAS gemm, which packs its operands.  With a side of 1 it calls
+    BLAS dot or gemv on strided vectors, whose kernels sum in another order,
+    so there the two agree only to rounding."""
     rng = np.random.default_rng([frames_q, frames_k, heads, d, d_v])
-    views = [rng.standard_normal((frames, heads * width)).reshape(frames, heads, width)
-             .transpose(1, 0, 2) for frames, width in
+    bases = [rng.standard_normal((frames, heads, width)) for frames, width in
              ((frames_q, d), (frames_k, d), (frames_k, d_v), (frames_q, d_v))]
+    bases.append(np.empty((frames_q, heads, d_v)))          # the output
     results = []
-    for arrays in (views, [np.ascontiguousarray(a) for a in views]):
-        out = attention(*(Tensor(a, requires_grad=True) for a in arrays[:3]))
-        results.append([out.data, *out._node.grad_fn(arrays[3])])
+    for layout in (lambda b: b.copy().transpose(1, 0, 2), lambda b: b.transpose(1, 0, 2).copy()):
+        q, k, v, g, out = (layout(b) for b in bases)
+        stats = [np.empty((heads, frames_q, 1)) for _ in range(2)]
+        _attention_into(q.copy(order="K"), k, v, out, *stats)
+        gk = _attention_grads(q, k, v, out, g, *stats, (True, True, True))
+        results.append([out, q, gk, v])
     for got, expected in zip(*results):
         if min(frames_q, frames_k, d, d_v) >= 2:
             assert np.array_equal(got, expected)
