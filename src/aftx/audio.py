@@ -9,6 +9,10 @@ multiply the sample count by more than two, a data chunk that ends inside
 a sample or frame, and a float payload with NaN or infinite samples are
 rejected.
 
+The front end is the paper's: ``MEL_BINS`` = 80 mel bins over frames of
+``FRAME_LENGTH_MS`` = 25 ms every ``FRAME_SHIFT_MS`` = 10 ms, with the mel
+power floored at ``LOG_FLOOR`` = 1e-10 before the log.
+
 Both stages stream a clip rather than copy it whole.  ``load_wav`` reads its
 chunks through a memoryview of the file and keeps one float64 array of the
 samples, which a 16 kHz file never leaves.  ``log_mel`` windows and
@@ -30,6 +34,10 @@ import numpy as np
 from .errors import FormatError, InputTooShort, NonFinite, ShapeError, UnsupportedCodec
 
 SAMPLE_RATE = 16_000
+MEL_BINS = 80
+FRAME_LENGTH_MS = 25.0
+FRAME_SHIFT_MS = 10.0
+LOG_FLOOR = 1e-10
 
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
@@ -46,9 +54,6 @@ class Waveform:
 @dataclass
 class Spectrogram:
     values: np.ndarray           # [mel_bins, frames], natural-log energy
-    mel_bins: int = 80
-    frame_length_ms: float = 25.0
-    frame_shift_ms: float = 10.0
     source_id: str = ""
 
     @property
@@ -142,8 +147,14 @@ def load_wav(path) -> Waveform:
 
 
 def write_wav(path, waveform: Waveform) -> None:
-    """Write 16-bit PCM mono."""
-    x = np.clip(waveform.samples, -1.0, 1.0)
+    """Write 16-bit PCM mono.  Samples that are not 1-D raise ShapeError and
+    NaN or infinite samples raise NonFinite, before anything is written."""
+    x = np.asarray(waveform.samples)
+    if x.ndim != 1:
+        raise ShapeError(f"write_wav needs 1-D samples, got shape {x.shape}")
+    if len(x) and not np.isfinite([x.min(), x.max()]).all():
+        raise NonFinite("write_wav samples include NaN or infinity")
+    x = np.clip(x, -1.0, 1.0)
     pcm = np.round(x * 32767.0).astype("<i2").tobytes()
     hdr = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
@@ -190,9 +201,9 @@ def mel_filterbank(mel_bins: int, fft_size: int, sample_rate: int = SAMPLE_RATE)
     return bank
 
 
-def log_mel(w: Waveform, mel_bins: int = 80, frame_length_ms: float = 25.0,
-            frame_shift_ms: float = 10.0, floor: float = 1e-10) -> Spectrogram:
-    """Hann-windowed power STFT through a mel filter bank, floored natural log.
+def log_mel(w: Waveform) -> Spectrogram:
+    """Hann-windowed power STFT through a ``MEL_BINS`` mel filter bank,
+    floored natural log.
 
     frames = floor((num_samples - frame_length) / frame_shift) + 1.
     The frames are windowed and transformed ``_BLOCK_FRAMES`` at a time in
@@ -200,21 +211,22 @@ def log_mel(w: Waveform, mel_bins: int = 80, frame_length_ms: float = 25.0,
     are written straight into the one [frames, n_freqs] power array; the
     mel product then runs on the whole array, and the floor and log run in
     place on its result.  Every value equals, bit for bit, the whole-array
-    formula log(max(|rfft(frames * window, n=fft_size)|² @ bankᵀ, floor)):
+    formula log(max(|rfft(frames * window, n=fft_size)|² @ bankᵀ, LOG_FLOOR)):
     each frame's transform does not depend on the rows beside it, while the
     mel product is left whole because BLAS may sum a block's rows in a
     different order.  Deterministic: identical inputs give bit-identical
-    outputs.  Samples must be 1-D and finite.
+    outputs.  Samples must be 1-D and finite, and ``w.sample_rate`` high
+    enough that a frame and a hop each round to at least one sample.
     """
     x = np.asarray(w.samples, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError(f"log_mel needs 1-D samples, got shape {x.shape}")
-    frame_length = int(round(w.sample_rate * frame_length_ms / 1000.0))
-    frame_shift = int(round(w.sample_rate * frame_shift_ms / 1000.0))
-    if mel_bins < 1 or frame_length < 1 or frame_shift < 1:
-        raise ShapeError(f"log_mel needs at least one mel bin and one-sample frames and "
-                         f"hops, got {mel_bins} bins, {frame_length}-sample frames, "
-                         f"{frame_shift}-sample hops")
+    frame_length = int(round(w.sample_rate * FRAME_LENGTH_MS / 1000.0))
+    frame_shift = int(round(w.sample_rate * FRAME_SHIFT_MS / 1000.0))
+    if frame_length < 1 or frame_shift < 1:
+        raise ShapeError(f"log_mel needs one-sample frames and hops, got "
+                         f"{frame_length}-sample frames and {frame_shift}-sample hops "
+                         f"at {w.sample_rate} Hz")
     if len(x) < frame_length:
         raise InputTooShort(
             f"waveform of {len(x)} samples is shorter than one {frame_length}-sample frame")
@@ -235,10 +247,8 @@ def log_mel(w: Waveform, mel_bins: int = 80, frame_length_ms: float = 25.0,
         np.multiply(frames[r:r + n], window, out=block[:n, :frame_length])
         np.abs(np.fft.rfft(block[:n]), out=power[r:r + n])
     power *= power
-    bank = mel_filterbank(mel_bins, fft_size, w.sample_rate)
+    bank = mel_filterbank(MEL_BINS, fft_size, w.sample_rate)
     mel_power = power @ bank.T                             # [frames, mel_bins]
-    np.maximum(mel_power, floor, out=mel_power)
+    np.maximum(mel_power, LOG_FLOOR, out=mel_power)
     values = np.log(mel_power, out=mel_power).T            # [mel_bins, frames]
-    return Spectrogram(values=values, mel_bins=mel_bins,
-                       frame_length_ms=frame_length_ms,
-                       frame_shift_ms=frame_shift_ms, source_id=w.source_id)
+    return Spectrogram(values=values, source_id=w.source_id)

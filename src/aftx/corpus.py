@@ -4,8 +4,9 @@ scores.
 Two corpus shapes are supported: a personality schema (five traits, eleven
 judges, 1-5 scores) and an emotion schema (arousal/valence, six annotators,
 continuous scores in [-1, 1]).  A clip is labeled positive for a trait when
-at least a majority of judges scored it strictly above that judge's own
-mean score for the trait across the whole corpus.
+a strict majority of judges (6 of 11, 4 of 6) scored it strictly above
+that judge's own mean score for the trait across the whole corpus.  Folds
+are always ``NUM_FOLDS`` = 5.
 
 Scores are stored as a CSV of ``clip_id,judge_id,trait,score`` rows.  The
 reader finds its columns by header name, in any order, ignores other columns
@@ -27,10 +28,11 @@ from .errors import (
     DegenerateLabels,
     FormatError,
     InputTooShort,
-    InvalidMajority,
     LabelError,
     MissingAnnotation,
+    NonFinite,
     SchemaError,
+    ShapeError,
     UnknownKind,
 )
 
@@ -42,6 +44,8 @@ CONTINUOUS = "continuous"
 
 PERSONALITY_JUDGES = 11
 EMOTION_JUDGES = 6
+
+NUM_FOLDS = 5
 
 
 @dataclass
@@ -79,46 +83,47 @@ class AnnotatedClip:
 
 @dataclass
 class FoldPlan:
-    num_folds: int
     assignments: dict[str, int]     # clip_id -> fold index
-    stratify_by: str
-    speaker_disjoint: bool = False
 
 
-def default_majority(num_judges: int) -> int:
-    """Smallest strict majority: 6 of 11, 4 of 6."""
-    return num_judges // 2 + 1
-
-
-def binarize_majority(scores: JudgeScores, majority: int | None = None) -> np.ndarray:
-    """Label each clip 1 when at least ``majority`` judges scored it strictly
+def binarize_majority(scores: JudgeScores) -> np.ndarray:
+    """Label each clip 1 when a strict majority of judges scored it strictly
     above their own corpus-wide mean for this trait; ties count as not-above.
+    A matrix with no judges raises SchemaError.
     """
     m = scores.matrix
-    if majority is None:
-        majority = default_majority(m.shape[0])
-    if not 1 <= majority <= m.shape[0]:
-        raise InvalidMajority(f"majority {majority} is outside 1..{m.shape[0]} judges")
+    if m.shape[0] == 0:
+        raise SchemaError(f"trait {scores.trait!r} has no judges")
     reference = m.mean(axis=1, keepdims=True)   # one mean per judge
     votes = (m > reference).sum(axis=0)
-    return (votes >= majority).astype(np.int8)
+    return (votes >= m.shape[0] // 2 + 1).astype(np.int8)
 
 
 def summarize_continuous(times: np.ndarray, values: np.ndarray,
                          start_s: float, end_s: float) -> float:
-    """Mean of one annotator's trace over the clip window [start_s, end_s)."""
+    """Mean of one annotator's trace over the clip window [start_s, end_s).
+
+    ``times`` and ``values`` must be 1-D and of equal length (ShapeError),
+    and every value in the window finite (NonFinite)."""
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise ShapeError(f"times and values must be 1-D and of equal length, "
+                         f"got shapes {times.shape} and {values.shape}")
     inside = (times >= start_s) & (times < end_s)
     if not inside.any():
         raise MissingAnnotation(
             f"no annotation samples in window [{start_s}, {end_s})")
-    return float(values[inside].mean())
+    window = values[inside]
+    if not np.isfinite(window).all():
+        raise NonFinite(f"annotation values in window [{start_s}, {end_s}) "
+                        f"include NaN or infinity")
+    return float(window.mean())
 
 
 def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
-               num_folds: int = 5, speaker_disjoint: bool = False) -> FoldPlan:
-    """Stratified fold assignment, deterministic for a seed.
+               speaker_disjoint: bool = False) -> FoldPlan:
+    """Stratified assignment to ``NUM_FOLDS`` folds, deterministic for a seed.
 
     Clip-level mode deals each class out cyclically after a seeded shuffle,
     which keeps fold sizes within one clip of each other and per-fold label
@@ -126,10 +131,8 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
     assigns whole speakers to the currently smallest fold, so the size
     invariant holds only as far as speaker clip counts allow.
     """
-    if num_folds < 2:
-        raise InputTooShort(f"need at least 2 folds to hold one out, got {num_folds}")
-    if len(clips) < num_folds:
-        raise InputTooShort(f"need at least {num_folds} clips, got {len(clips)}")
+    if len(clips) < NUM_FOLDS:
+        raise InputTooShort(f"need at least {NUM_FOLDS} clips, got {len(clips)}")
     labels = {}
     for clip in clips:
         if trait not in clip.binary_labels:
@@ -149,7 +152,7 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
         # largest speakers first (seeded order among equals), each into the
         # currently smallest fold
         shuffled.sort(key=lambda s: -len(by_speaker[s]))
-        sizes = [0] * num_folds
+        sizes = [0] * NUM_FOLDS
         for speaker in shuffled:
             fold = int(np.argmin(sizes))
             for cid in by_speaker[speaker]:
@@ -161,10 +164,9 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
             ids = sorted(cid for cid, lab in labels.items() if lab == cls)
             ids = [ids[i] for i in rng.permutation(len(ids))]
             for cid in ids:
-                assignments[cid] = next_fold % num_folds
+                assignments[cid] = next_fold % NUM_FOLDS
                 next_fold += 1
-    return FoldPlan(num_folds=num_folds, assignments=assignments,
-                    stratify_by=trait, speaker_disjoint=speaker_disjoint)
+    return FoldPlan(assignments=assignments)
 
 
 def synthetic_judge_scores(planted: np.ndarray, num_judges: int, scale: str,

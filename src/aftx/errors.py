@@ -44,14 +44,11 @@ class MissingGrad(AftxError):
 
 
 class NonFinite(AftxError):
-    """A logit, gradient, correlation input or WAV sample is NaN or infinite."""
+    """A logit, gradient, correlation input, annotation value or WAV sample is
+    NaN or infinite."""
 
 
 # --- audio / augmentation ---
-
-class UnknownKind(AftxError):
-    """A mask kind or score scale that the library does not define."""
-
 
 class FormatError(AftxError):
     """A file is malformed for its format (WAV, AFTX1 or scores CSV)."""
@@ -71,8 +68,8 @@ class SchemaError(AftxError):
     """Judge scores break the corpus schema: wrong judge count or score range."""
 
 
-class InvalidMajority(AftxError):
-    """Majority threshold is outside 1..judges."""
+class UnknownKind(AftxError):
+    """A score scale that the library does not define."""
 
 
 class MissingAnnotation(AftxError):

@@ -101,18 +101,17 @@ class CorrelationEntry:
 
 
 def trait_pair_table(scores_5scale: dict[str, np.ndarray],
-                     labels_2scale: dict[str, np.ndarray],
-                     traits=TRAITS) -> list[CorrelationEntry]:
-    """All C(5,2)=10 unordered trait pairs with absolute-valued correlations.
+                     labels_2scale: dict[str, np.ndarray]) -> list[CorrelationEntry]:
+    """All C(5,2)=10 unordered pairs of ``TRAITS`` with absolute-valued correlations.
 
     ``scores_5scale[trait]`` is the per-clip mean judge score; undefined
     correlations become None.
     """
-    missing = [t for t in traits if t not in scores_5scale or t not in labels_2scale]
+    missing = [t for t in TRAITS if t not in scores_5scale or t not in labels_2scale]
     if missing:
         raise LabelError(f"missing traits: {missing}")
     entries = []
-    for a, b in combinations(traits, 2):
+    for a, b in combinations(TRAITS, 2):
         try:
             p2 = abs(phi(labels_2scale[a], labels_2scale[b]))
         except UndefinedCorrelation:

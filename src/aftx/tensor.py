@@ -26,8 +26,10 @@ keeps only its input and recomputes its hidden layer.
 and closure once it has used them, so saved arrays are freed as the walk
 passes them, and a later backward that reaches a consumed node raises
 StaleGraph.  Only the operators the bundled speech models need are
-implemented; there is no GPU path and no broadcasting beyond what bias
-addition requires.
+implemented, each in the one form they use: ``stack`` adds a first axis,
+``transpose`` and ``tmean`` take explicit axes, and layer norm adds
+``LAYER_NORM_EPS`` = 1e-5 to the variance.  There is no GPU path and no
+broadcasting beyond what bias addition requires.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from .errors import (
     ShapeError,
     StaleGraph,
 )
+
+LAYER_NORM_EPS = 1e-5
 
 
 class Tensor:
@@ -230,11 +234,9 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _from_op(data, (x,), grad_fn)
 
 
-def transpose(x: Tensor, axes=None) -> Tensor:
+def transpose(x: Tensor, axes) -> Tensor:
     x = as_tensor(x)
     ndim = x.data.ndim
-    if axes is None:
-        axes = tuple(reversed(range(ndim)))
     axes = tuple(_axis(a, ndim, "transpose") for a in axes)
     if sorted(axes) != list(range(ndim)):
         raise ShapeError(f"transpose axes {axes} are not a permutation of {ndim} axes")
@@ -246,71 +248,42 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     return _from_op(x.data.transpose(axes), (x,), grad_fn)
 
 
-def tmean(x: Tensor, axis=None) -> Tensor:
+def tmean(x: Tensor, axis: int) -> Tensor:
     x = as_tensor(x)
     shape = x.shape
-    if axis is not None:
-        axis = _axis(axis, x.data.ndim, "tmean")
-    count = x.data.size if axis is None else shape[axis]
+    axis = _axis(axis, x.data.ndim, "tmean")
+    count = shape[axis]
     if count == 0:
         raise ShapeError(f"tmean over no elements: axis {axis} of {shape}")
 
     def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis) / count, shape).copy(),)
 
     return _from_op(x.data.mean(axis=axis), (x,), grad_fn)
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis (used to batch clip logits)."""
+def stack(tensors) -> Tensor:
+    """Stack same-shape tensors along a new first axis (used to batch clip logits)."""
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("stack needs at least one tensor")
     base = tensors[0].shape
     if any(t.shape != base for t in tensors):
         raise ShapeError("stack needs tensors of identical shape")
-    axis = _axis(axis, len(base) + 1, "stack")
-    data = np.stack([t.data for t in tensors], axis=axis)
-    count = len(tensors)
+    data = np.stack([t.data for t in tensors])
 
     def grad_fn(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(count))
+        return tuple(g)
 
     return _from_op(data, tuple(tensors), grad_fn)
-
-
-def _softmax_into(x: np.ndarray, out, axis: int) -> np.ndarray:
-    """Stabilized softmax of ``x`` along ``axis``, written into ``out`` (a new
-    array when ``out`` is None, or ``x`` itself), with no other array of its
-    size: subtract the max, exponentiate in place, divide by the sum."""
-    s = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
-    np.exp(s, out=s)
-    s /= s.sum(axis=axis, keepdims=True)
-    return s
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stabilized softmax along ``axis``; rows sum to one."""
-    x = as_tensor(x)
-    axis = _axis(axis, x.data.ndim, "softmax")
-    if x.shape[axis] == 0:
-        raise ShapeError(f"softmax over axis {axis} of {x.shape}, which is empty")
-    s = _softmax_into(x.data, None, axis)
-
-    def grad_fn(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return ((g - dot) * s,)
-
-    return _from_op(s, (x,), grad_fn)
 
 
 def _weights_into(q: np.ndarray, k: np.ndarray, out: np.ndarray, row_max: np.ndarray,
                   row_sum: np.ndarray, rows_known: bool = False) -> np.ndarray:
     """softmax(q kᵀ) of one scaled [frames_q, d] query and [frames_k, d] key slice,
-    written into ``out`` [frames_q, frames_k] by the float operations of
-    ``_softmax_into``.  Each row's max and sum of exponentials go into
+    written into ``out`` [frames_q, frames_k] with no other array of its size:
+    subtract each row's max, exponentiate in place, divide by the row's
+    sum.  Each row's max and sum of exponentials go into
     ``row_max`` and ``row_sum`` [frames_q, 1]; with ``rows_known`` they are
     read from there instead, which skips both reductions and gives the same
     weights bit for bit."""
@@ -550,13 +523,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
     return _from_op(data, (x, w, b), grad_fn)
 
 
-def layer_norm_residual(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
-                        eps: float = 1e-5) -> Tensor:
+def layer_norm_residual(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row (last axis) of the residual sum ``x + y`` to zero
     mean, unit variance, then apply an elementwise affine ``gain * xhat + bias``.
 
-    Variance is the population variance and ``eps`` sits inside the square
-    root, so constant rows map to zero rather than NaN.  The sum is
+    Variance is the population variance and ``LAYER_NORM_EPS`` sits inside
+    the square root, so constant rows map to zero rather than NaN.  The sum is
     normalized in place, so the tape keeps only ``xhat``, the row scales and
     the gain; ``x`` and ``y`` receive the same gradient array.
     """
@@ -570,7 +542,7 @@ def layer_norm_residual(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
         raise ShapeError(f"layer norm affine params must have shape ({d},)")
     xhat = x.data + y.data
     xhat -= xhat.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv_std
     data = gain.data * xhat
     data += bias.data

@@ -7,103 +7,111 @@ import pytest
 
 from aftx.audio import Spectrogram
 from aftx.augment import (
-    DEFAULT_PLAN,
     FREQ_THEN_TIME,
     FREQUENCY,
     MASK_KINDS,
     TIME,
-    MaskSpec,
-    apply_mask,
+    MaskedSpectrogram,
     augment_corpus,
     sample_mask_regions,
 )
-from aftx.errors import MaskTooLarge, UnknownKind
+from aftx.errors import MaskTooLarge
 
 
 def random_spec(rng, mel_bins=24, frames=90, source_id="clip"):
-    return Spectrogram(values=rng.standard_normal((mel_bins, frames)),
-                       mel_bins=mel_bins, source_id=source_id)
+    return Spectrogram(values=rng.standard_normal((mel_bins, frames)), source_id=source_id)
+
+
+def apply_mask(values, kind, seed):
+    """The eager mask each lazy variant must equal: a copy of ``values`` whose
+    bands for ``kind``, drawn by ``sample_mask_regions``, hold the mean of
+    ``values``.  It masks time before frequency, the other order."""
+    out = values.copy()
+    if kind in (TIME, FREQ_THEN_TIME):
+        start, end = sample_mask_regions(values.shape[1], "time", seed)
+        out[:, start:end] = values.mean()
+    if kind in (FREQUENCY, FREQ_THEN_TIME):
+        start, end = sample_mask_regions(values.shape[0], "freq", seed)
+        out[start:end, :] = values.mean()
+    return out
 
 
 class TestApplyMask:
-    def test_zero_widths_are_identity(self):
-        spec = random_spec(np.random.default_rng(0))
-        out = apply_mask(spec, MaskSpec(FREQ_THEN_TIME, max_freq_width=0,
-                                        max_time_width=0, seed=5))
-        assert out.values.tobytes() == spec.values.tobytes()
+    """The bands one masked variant sets, read through ``MaskedSpectrogram``."""
 
     def test_frequency_mask_is_one_band(self):
         spec = random_spec(np.random.default_rng(1))
         seed = 3  # chosen to draw a nonzero width
-        regions = sample_mask_regions(24, "freq", 8, 1, seed)
-        (start, end), = regions
+        start, end = sample_mask_regions(24, "freq", seed)
         assert end - start > 0
-        out = apply_mask(spec, MaskSpec(FREQUENCY, max_freq_width=8, seed=seed))
-        changed_rows = np.where((out.values != spec.values).any(axis=1))[0]
+        out = MaskedSpectrogram(spec, FREQUENCY, seed, 0.0).values
+        changed_rows = np.where((out != spec.values).any(axis=1))[0]
         assert len(changed_rows) <= 8
         assert changed_rows.tolist() == list(range(start, end))
         untouched = np.ones(24, dtype=bool)
         untouched[start:end] = False
-        assert out.values[untouched].tobytes() == spec.values[untouched].tobytes()
+        assert out[untouched].tobytes() == spec.values[untouched].tobytes()
 
     def test_masked_cells_take_global_mean(self):
         spec = random_spec(np.random.default_rng(2))
-        out = apply_mask(spec, MaskSpec(FREQUENCY, max_freq_width=8, seed=3))
         fill = spec.values.mean()
-        (start, end), = sample_mask_regions(24, "freq", 8, 1, 3)
-        np.testing.assert_array_equal(out.values[start:end, :], fill)
+        variant, tag = augment_corpus([spec], seed=3)[1]
+        assert tag.kind == FREQUENCY
+        start, end = sample_mask_regions(24, "freq", tag.seed)
+        assert end > start
+        np.testing.assert_array_equal(variant.values[start:end, :], fill)
 
     def test_composition_orders_agree(self):
-        # the composite kind equals time bands, then frequency bands, drawn
-        # from its seed and filled with the input's mean
+        # the composite kind equals its time band, then its frequency band,
+        # drawn from its seed and filled with the input's mean
         spec = random_spec(np.random.default_rng(4))
         fill = spec.values.mean()
         for seed in range(10):
-            a = apply_mask(spec, MaskSpec(FREQ_THEN_TIME, 8, 20, seed=seed))
+            a = MaskedSpectrogram(spec, FREQ_THEN_TIME, seed, fill).values
             b = spec.values.copy()
-            for start, end in sample_mask_regions(90, "time", 20, 1, seed):
-                b[:, start:end] = fill
-            for start, end in sample_mask_regions(24, "freq", 8, 1, seed):
-                b[start:end, :] = fill
-            assert a.values.tobytes() == b.tobytes()
+            start, end = sample_mask_regions(90, "time", seed)
+            b[:, start:end] = fill
+            start, end = sample_mask_regions(24, "freq", seed)
+            b[start:end, :] = fill
+            assert a.tobytes() == b.tobytes()
 
     def test_input_never_modified(self):
         spec = random_spec(np.random.default_rng(5))
         before = spec.values.copy()
-        apply_mask(spec, MaskSpec(FREQ_THEN_TIME, 8, 30, seed=1))
+        _ = MaskedSpectrogram(spec, FREQ_THEN_TIME, 1, 0.0).values
         assert spec.values.tobytes() == before.tobytes()
 
     def test_shape_preserved_and_changes_inside_regions(self):
         for seed in range(25):
             rng = np.random.default_rng(100 + seed)
             spec = random_spec(rng)
-            m = MaskSpec(FREQ_THEN_TIME, 6, 15, num_masks_per_axis=2, seed=seed)
-            out = apply_mask(spec, m)
-            assert out.values.shape == spec.values.shape
+            out = MaskedSpectrogram(spec, FREQ_THEN_TIME, seed, 0.0).values
+            assert out.shape == spec.values.shape
             allowed = np.zeros_like(spec.values, dtype=bool)
-            for start, end in sample_mask_regions(24, "freq", 6, 2, seed):
-                allowed[start:end, :] = True
-            for start, end in sample_mask_regions(90, "time", 15, 2, seed):
-                allowed[:, start:end] = True
-            changed = out.values != spec.values
+            start, end = sample_mask_regions(24, "freq", seed)
+            allowed[start:end, :] = True
+            start, end = sample_mask_regions(90, "time", seed)
+            allowed[:, start:end] = True
+            changed = out != spec.values
             assert not (changed & ~allowed).any()
 
     def test_masked_fraction_bound(self):
-        # union bound: F*n/mel_bins + T*n/frames
+        # union bound: 8/mel_bins + 40/frames
         for seed in range(25):
             rng = np.random.default_rng(200 + seed)
             spec = random_spec(rng)
-            m = MaskSpec(FREQ_THEN_TIME, 6, 15, num_masks_per_axis=2, seed=seed)
-            out = apply_mask(spec, m)
-            frac = float((out.values != spec.values).mean())
-            assert frac <= 2 * 6 / 24 + 2 * 15 / 90 + 1e-12
+            out = MaskedSpectrogram(spec, FREQ_THEN_TIME, seed, 0.0).values
+            frac = float((out != spec.values).mean())
+            assert frac <= 8 / 24 + 40 / 90 + 1e-12
 
     def test_mask_too_large(self):
-        spec = random_spec(np.random.default_rng(6))
+        # a band may be 8 mel bins or 40 frames wide, so the axes must be wider
+        rng = np.random.default_rng(6)
+        assert len(augment_corpus([random_spec(rng, 9, 41)], seed=0)) == 4
         with pytest.raises(MaskTooLarge):
-            apply_mask(spec, MaskSpec(FREQUENCY, max_freq_width=24, seed=0))
+            augment_corpus([random_spec(rng, 8, 90)], seed=0)
         with pytest.raises(MaskTooLarge):
-            apply_mask(spec, MaskSpec(TIME, max_time_width=90, seed=0))
+            augment_corpus([random_spec(rng, 24, 40)], seed=0)
 
 
 class TestAugmentCorpus:
@@ -111,45 +119,31 @@ class TestAugmentCorpus:
         rng = np.random.default_rng(7)
         return [random_spec(rng, source_id=f"clip{idx:04d}") for idx in range(n)]
 
-    def test_unknown_mask_kind(self):
-        with pytest.raises(UnknownKind):
-            MaskSpec("bogus")
-
-    def test_unknown_kind_in_plan(self):
-        with pytest.raises(UnknownKind):
-            augment_corpus(self.make_clips(2), plan=(FREQUENCY, "bogus"), seed=0)
-
     def test_default_plan_quadruples_640_clips(self):
         clips = self.make_clips(640)
-        out = augment_corpus(clips, plan=DEFAULT_PLAN, seed=0)
+        out = augment_corpus(clips, seed=0)
         assert len(out) == 2560
 
-    def test_empty_plan_returns_originals(self):
-        clips = self.make_clips(5)
-        out = augment_corpus(clips, plan=(), seed=0)
-        assert len(out) == 5
-        for (spec, tag), original in zip(out, clips):
-            assert tag.kind == "original"
-            assert spec.values.tobytes() == original.values.tobytes()
-
     def test_count_formula(self):
-        clips = self.make_clips(9)
-        for k in range(len(MASK_KINDS) + 1):
-            out = augment_corpus(clips, plan=MASK_KINDS[:k], seed=0)
-            assert len(out) == 9 * (1 + k)
+        # n originals in order, then each clip's variants in the order of MASK_KINDS
+        for n in range(4):
+            clips = self.make_clips(n)
+            out = augment_corpus(clips, seed=0)
+            assert len(out) == 4 * n
+            assert [spec for spec, _ in out[:n]] == clips
+            assert [tag.kind for _, tag in out] == ["original"] * n + list(MASK_KINDS) * n
 
     def test_tags_carry_kind_and_seed(self):
         clips = self.make_clips(3)
-        out = augment_corpus(clips, plan=(FREQUENCY,), seed=11)
+        out = augment_corpus(clips, seed=11)
         augmented = [item for item in out if item[1].kind != "original"]
-        assert len(augmented) == 3
+        assert len(augmented) == 9
         for spec, tag in augmented:
-            assert tag.kind == FREQUENCY
-            assert tag.seed is not None
+            assert (spec.kind, spec.seed) == (tag.kind, tag.seed)
             # replaying the recorded seed reproduces the variant
-            replay = apply_mask(clips[[c.source_id for c in clips].index(tag.source_id)],
-                                MaskSpec(FREQUENCY, 8, 40, seed=tag.seed))
-            assert replay.values.tobytes() == spec.values.tobytes()
+            source = clips[[c.source_id for c in clips].index(tag.source_id)]
+            replay = apply_mask(source.values, tag.kind, tag.seed)
+            assert replay.tobytes() == spec.values.tobytes()
 
     def test_deterministic(self):
         clips = self.make_clips(4)
@@ -161,25 +155,24 @@ class TestAugmentCorpus:
 
 
 class TestLazyVariants:
-    """Variants are recipes masked on read, equal to the eager ``apply_mask``."""
+    """Variants are recipes masked on read, equal to the eager ``apply_mask``
+    of this module."""
 
     def make_clips(self, n, mel_bins=24, frames=90):
         rng = np.random.default_rng(8)
         return [random_spec(rng, mel_bins, frames, source_id=f"clip{idx:04d}")
                 for idx in range(n)]
 
-    @pytest.mark.parametrize("num_masks", [1, 2])
-    def test_equals_apply_mask_replayed_from_provenance(self, num_masks):
+    def test_equals_apply_mask_replayed_from_provenance(self):
         clips = self.make_clips(5)
         by_id = {c.source_id: c for c in clips}
-        out = augment_corpus(clips, plan=MASK_KINDS, max_freq_width=6, max_time_width=15,
-                             num_masks_per_axis=num_masks, seed=3)
+        out = augment_corpus(clips, seed=3)
         kinds = set()
         for variant, tag in out[len(clips):]:
             source = by_id[tag.source_id]
-            replay = apply_mask(source, MaskSpec(tag.kind, 6, 15, num_masks, tag.seed))
+            replay = apply_mask(source.values, tag.kind, tag.seed)
             values = variant.values
-            assert values.tobytes() == replay.values.tobytes()
+            assert values.tobytes() == replay.tobytes()
             assert values.flags.c_contiguous
             assert (variant.source.source_id, values.shape) == (source.source_id, source.values.shape)
             kinds.add(tag.kind)
@@ -199,11 +192,13 @@ class TestLazyVariants:
             assert clip.values.tobytes() == before.tobytes()
 
     def test_mask_too_large_raises_at_call_time(self):
-        clips = self.make_clips(2, frames=90)
+        # a clip too narrow for a band raises from the call, not from a
+        # later read of a variant, even after a clip that fits
+        clips = self.make_clips(1) + self.make_clips(1, frames=40)
         with pytest.raises(MaskTooLarge):
-            augment_corpus(clips, max_time_width=90, seed=0)
+            augment_corpus(clips, seed=0)
         with pytest.raises(MaskTooLarge):
-            augment_corpus(clips, max_freq_width=24, seed=0)
+            augment_corpus(self.make_clips(1, mel_bins=8), seed=0)
 
     def test_augmenting_allocates_less_than_one_clip(self):
         # 64 clips of paper shape make 192 variants; an eager copy of them

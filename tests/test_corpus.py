@@ -9,7 +9,6 @@ from aftx.corpus import (
     AnnotatedClip,
     JudgeScores,
     binarize_majority,
-    default_majority,
     make_folds,
     read_scores_csv,
     summarize_continuous,
@@ -20,10 +19,11 @@ from aftx.errors import (
     DegenerateLabels,
     FormatError,
     InputTooShort,
-    InvalidMajority,
     LabelError,
     MissingAnnotation,
+    NonFinite,
     SchemaError,
+    ShapeError,
     UnknownKind,
 )
 
@@ -62,7 +62,7 @@ class TestBinarizeMajority:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             matrix = rng.integers(1, 6, size=(11, 50)).astype(np.float64)
-            got = binarize_majority(scores_from_matrix(matrix), majority=6)
+            got = binarize_majority(scores_from_matrix(matrix))
             expected = brute_force_binarize(matrix, 6)
             np.testing.assert_array_equal(got, expected, err_msg=f"seed {seed}")
 
@@ -78,19 +78,19 @@ class TestBinarizeMajority:
                 base, binarize_majority(scores_from_matrix(shifted)))
 
     def test_default_majorities(self):
-        assert default_majority(11) == 6
-        assert default_majority(6) == 4
+        """The strict majority: a clip that 6 of 11 (4 of 6) judges score
+        above their mean is positive, one that 5 of 11 (3 of 6) do is not."""
+        for judges, majority in ((11, 6), (6, 4)):
+            matrix = np.zeros((judges, 3))
+            matrix[:, :2] = -1.0
+            matrix[:majority, 0] = 1.0
+            matrix[:majority - 1, 1] = 1.0
+            labels = binarize_majority(scores_from_matrix(matrix))
+            np.testing.assert_array_equal(labels, [1, 0, 0])
 
-    def test_invalid_majority(self):
-        sc = scores_from_matrix(np.ones((6, 5)))
-        with pytest.raises(InvalidMajority):
-            binarize_majority(sc, majority=7)
-
-    @pytest.mark.parametrize("majority", [0, -1])
-    def test_majority_below_one(self, majority):
-        sc = scores_from_matrix(np.ones((6, 5)))
-        with pytest.raises(InvalidMajority):
-            binarize_majority(sc, majority=majority)
+    def test_no_judges_rejected(self):
+        with pytest.raises(SchemaError):
+            binarize_majority(scores_from_matrix(np.ones((0, 5))))
 
 
 class TestSummarizeContinuous:
@@ -118,6 +118,24 @@ class TestSummarizeContinuous:
         with pytest.raises(MissingAnnotation):
             summarize_continuous(np.array([1.0, 2.0]), np.array([0.1, 0.2]), 5.0, 6.0)
 
+    @pytest.mark.parametrize("times, values", [
+        (np.arange(4.0), np.zeros(3)),
+        (np.arange(4.0).reshape(2, 2), np.zeros((2, 2))),
+        (np.arange(4.0), np.zeros((4, 1))),
+    ], ids=["lengths", "both-2d", "values-2d"])
+    def test_times_and_values_not_matching_vectors_rejected(self, times, values):
+        with pytest.raises(ShapeError):
+            summarize_continuous(times, values, 0.0, 10.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_in_window_rejected(self, bad):
+        t = np.arange(10.0)
+        v = np.zeros(10)
+        v[3] = bad
+        with pytest.raises(NonFinite):
+            summarize_continuous(t, v, 2.0, 5.0)
+        assert summarize_continuous(t, v, 5.0, 9.0) == 0.0   # outside the window
+
 
 def make_clips(labels, trait="EX", speakers=None):
     return [AnnotatedClip(clip_id=f"c{i:04d}",
@@ -127,7 +145,7 @@ def make_clips(labels, trait="EX", speakers=None):
 
 
 def fold_sizes(plan):
-    return np.bincount(list(plan.assignments.values()), minlength=plan.num_folds)
+    return np.bincount(list(plan.assignments.values()), minlength=5)
 
 
 def fold_clips(plan, fold):
@@ -195,11 +213,6 @@ class TestMakeFolds:
     def test_fewer_clips_than_folds(self):
         with pytest.raises(InputTooShort):
             make_folds(make_clips([0, 1, 0, 1]), "EX", seed=0)
-
-    @pytest.mark.parametrize("num_folds", [0, 1])
-    def test_fewer_than_two_folds(self, num_folds):
-        with pytest.raises(InputTooShort):
-            make_folds(make_clips([0, 1] * 5), "EX", seed=0, num_folds=num_folds)
 
     def test_missing_trait_label(self):
         with pytest.raises(LabelError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aftx.errors import MissingGrad, NonFinite
-from aftx.optim import AdamW
+from aftx.optim import BETA1, BETA2, EPSILON, WEIGHT_DECAY, AdamW
 from aftx.tensor import Parameter, Tensor, backward
 
 from scalar_loss import project
@@ -20,16 +20,17 @@ class TestAdamWStep:
         # w' = 1 - lr * wd * 1 = 1 - 1e-9
         p = make_param([1.0])
         p.tensor.grad = np.zeros(1)
-        opt = AdamW({"p": p}, lr=1e-4, weight_decay=1e-5)
+        opt = AdamW({"p": p}, lr=1e-4)
         opt.step()
         assert p.data[0] == pytest.approx(1.0 - 1e-9, abs=1e-16)
         assert opt.step_count == 1
 
     def test_first_step_closed_form(self):
-        # w=0, grad=2, lr=0.1, wd=0: bias correction makes m̂/(√v̂+ε) ≈ 1
+        # w=0, grad=2, lr=0.1: decay scales 0, and bias correction makes
+        # m̂/(√v̂+ε) ≈ 1
         p = make_param([0.0])
         p.tensor.grad = np.array([2.0])
-        AdamW({"p": p}, lr=0.1, weight_decay=0.0).step()
+        AdamW({"p": p}, lr=0.1).step()
         assert p.data[0] == pytest.approx(-0.1, abs=1e-6)
 
     def test_frozen_parameter_bit_identical(self):
@@ -37,7 +38,7 @@ class TestAdamWStep:
         p = make_param(values.copy(), trainable=False)
         q = make_param([1.0], name="q")
         q.tensor.grad = np.array([0.5])
-        opt = AdamW({"p": p, "q": q})
+        opt = AdamW({"p": p, "q": q}, lr=1e-4)
         for _ in range(10):
             opt.step()
             q.tensor.grad = np.array([0.5])
@@ -47,14 +48,14 @@ class TestAdamWStep:
     def test_missing_grad_raises(self):
         p = make_param([1.0])
         with pytest.raises(MissingGrad):
-            AdamW({"p": p}).step()
+            AdamW({"p": p}, lr=1e-4).step()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_grad_leaves_state_unchanged(self, bad):
         # "a" is stepped before "b" in dict order, so a check made inside the
         # update loop would already have moved "a" when "b" raises
         a, b = make_param([0.5, -0.5], name="a"), make_param([1.0], name="b")
-        opt = AdamW({"a": a, "b": b}, lr=0.1, weight_decay=0.01)
+        opt = AdamW({"a": a, "b": b}, lr=0.1)
         a.tensor.grad, b.tensor.grad = np.array([1.0, 2.0]), np.array([3.0])
         opt.step()
         before = (opt.step_count, a.data.copy(), b.data.copy(),
@@ -75,10 +76,11 @@ class TestAdamWStep:
         # independent scalar recurrence for a short schedule
         rng = np.random.default_rng(0)
         grads = rng.standard_normal(50)
-        lr, wd, b1, b2, eps = 1e-2, 1e-3, 0.9, 0.999, 1e-8
+        lr, wd, b1, b2, eps = 1e-2, 1e-5, 0.9, 0.999, 1e-8
+        assert (wd, b1, b2, eps) == (WEIGHT_DECAY, BETA1, BETA2, EPSILON)
         w, m, v = 0.5, 0.0, 0.0
         p = make_param([0.5])
-        opt = AdamW({"p": p}, lr=lr, weight_decay=wd, beta1=b1, beta2=b2, epsilon=eps)
+        opt = AdamW({"p": p}, lr=lr)
         for t, g in enumerate(grads, start=1):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
@@ -92,7 +94,7 @@ class TestAdamWStep:
 class TestAdamWWrapper:
     def test_training_reduces_quadratic_loss(self):
         p = make_param([3.0, -2.0])
-        opt = AdamW({"p": p}, lr=0.05, weight_decay=0.0)
+        opt = AdamW({"p": p}, lr=0.05)
         first = None
         for _ in range(200):
             loss = project(p.tensor, p.tensor)
@@ -105,7 +107,7 @@ class TestAdamWWrapper:
 
     def test_zero_grad_clears(self):
         p = make_param([1.0])
-        opt = AdamW({"p": p})
+        opt = AdamW({"p": p}, lr=1e-4)
         backward(project(p.tensor, p.tensor))
         assert p.tensor.grad is not None
         opt.zero_grad()

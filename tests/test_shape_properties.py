@@ -25,7 +25,6 @@ from aftx.tensor import (
     conv1d,
     layer_norm_residual,
     linear,
-    softmax,
 )
 
 from scalar_loss import project
@@ -43,9 +42,6 @@ OPS = {
     "affine": (3, lambda r, i, o: [(r, i), (i, o), (o,)],
                lambda ts, k: linear(*ts),
                lambda s, k: [s[0][:-1] + s[1][-1:]]),
-    "softmax": (2, lambda a, b: [(a, b)],
-                lambda ts, k: softmax(ts[0], k),
-                lambda s, k: [s[0]]),
     "conv1d": (4, lambda ci, extra, co, w: [(ci, w + extra), (co, ci, w), (co,)],
                lambda ts, k: conv1d(*ts, stride=k),
                lambda s, k: [(s[1][0], (s[0][1] - s[1][2]) // k + 1)]),

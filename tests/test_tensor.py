@@ -35,7 +35,6 @@ from aftx.tensor import (
     linear,
     relu,
     reshape,
-    softmax,
     softmax_cross_entropy,
     stack,
     tmean,
@@ -84,14 +83,9 @@ class TestShapeOpErrors:
         lambda x: tmean(x, 3),
         lambda x: tmean(x, -4),
         lambda x: tmean(Tensor(np.zeros((0, 3))), 0),
-        lambda x: tmean(Tensor(np.zeros((0, 3)))),
-        lambda x: softmax(x, 3),
-        lambda x: softmax(x, 1.0),
-        lambda x: stack([x, x], axis=4),
-        lambda x: stack([x, x], axis=-5),
+        lambda x: stack([x, Tensor(np.zeros((2, 4, 3)))]),
     ], ids=["reshape-size", "reshape-type", "transpose-repeat", "transpose-short",
-            "transpose-range", "tmean", "tmean-neg", "tmean-empty", "tmean-empty-all", "softmax",
-            "softmax-float", "stack", "stack-neg"])
+            "transpose-range", "tmean", "tmean-neg", "tmean-empty", "stack"])
     def test_shape_error(self, op):
         with pytest.raises(ShapeError):
             op(Tensor(np.zeros((2, 3, 4)), requires_grad=True))
@@ -106,9 +100,9 @@ class TestShapeOpErrors:
     @pytest.mark.parametrize("axis", [-1, -2])
     def test_negative_axes_match_positive(self, axis):
         x = Tensor(np.random.default_rng(5).standard_normal((3, 4)))
-        for op in (tmean, softmax):
-            assert np.array_equal(op(x, axis).data, op(x, axis % 2).data)
-        assert np.array_equal(stack([x, x], axis - 1).data, stack([x, x], (axis - 1) % 3).data)
+        assert np.array_equal(tmean(x, axis).data, tmean(x, axis % 2).data)
+        assert np.array_equal(transpose(x, (axis, axis + 1)).data,
+                              transpose(x, (axis % 2, (axis + 1) % 2)).data)
 
 
 class TestConv1d:
@@ -235,7 +229,9 @@ class TestAttention:
         for seed in range(5):
             q, k, v = self.operands(seed)
             scores = np.matmul(q * (1.0 / math.sqrt(4)), np.swapaxes(k, -1, -2))
-            chain = np.matmul(softmax(Tensor(scores)).data, v)
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            weights /= weights.sum(axis=-1, keepdims=True)
+            chain = np.matmul(weights, v)
             assert np.array_equal(_attend(q, k, v), chain)
 
     def test_equals_batched_formulas_in_value_and_layout(self):
@@ -560,11 +556,16 @@ class TestNumericalHygiene:
     """No NaN/Inf on bounded inputs: stabilized softmax, epsilon-guarded norms."""
 
     def test_softmax_rows_sum_to_one(self):
+        """Attention scores of ±1e3 inputs: every value is the constant 1 and
+        the output projection is the identity, so each output cell is one
+        row of weights summed."""
         rng = np.random.default_rng(5)
-        x = Tensor(rng.uniform(-1e3, 1e3, size=(20, 9)))
-        s = softmax(x).data
-        np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-9)
-        assert np.all(np.isfinite(s))
+        x = Tensor(rng.uniform(-1e3, 1e3, size=(20, 8)))
+        params = _identity_mha_params(8)
+        params["wv"], params["bv"] = Tensor(np.zeros((8, 8))), Tensor(np.ones(8))
+        out = multi_head_attention(x, 2, **params).data
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, 1.0, atol=1e-9)
 
     def test_layer_norm_bounded_inputs(self):
         rng = np.random.default_rng(6)
@@ -593,7 +594,6 @@ TAPE_OPS = [
     ("transpose", lambda r: transpose(_leaf(r, 2, 3, 4), (1, 0, 2))),
     ("tmean", lambda r: tmean(_leaf(r, 3, 4), 1)),
     ("stack", lambda r: stack([_leaf(r, 3), _leaf(r, 3)])),
-    ("softmax", lambda r: softmax(_leaf(r, 3, 4))),
     ("multi_head_attention", lambda r: multi_head_attention(
         _leaf(r, 5, 4), 2, *(_leaf(r, 4, 4) if i % 2 == 0 else _leaf(r, 4) for i in range(6)),
         _leaf(r, 4, 3), _leaf(r, 3))),
