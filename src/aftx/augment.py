@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Spectrogram
-from .errors import MaskTooLarge
+from .errors import MaskTooLarge, ShapeError
 
 FREQUENCY = "frequency"
 TIME = "time"
@@ -43,14 +43,26 @@ class Provenance:
     seed: int | None = None
 
 
+def _band_limits(num_rows: int, axis: str) -> tuple[int, int]:
+    """The substream and widest band of ``axis``: ShapeError for an axis other
+    than ``"freq"`` or ``"time"``, MaskTooLarge if ``num_rows`` is no wider."""
+    if axis not in _AXES:
+        raise ShapeError(f"no mask axis {axis!r}; expected 'freq' or 'time'")
+    stream, max_width = _AXES[axis]
+    if max_width >= num_rows:
+        raise MaskTooLarge(f"{axis} width {max_width} >= the axis's {num_rows} rows")
+    return stream, max_width
+
+
 def sample_mask_regions(num_rows: int, axis: str, seed: int) -> tuple[int, int]:
     """The deterministic [start, end) band of one axis, ``"freq"`` or ``"time"``.
 
-    Its width is uniform on [0, the axis's widest band]; its position keeps
-    it inside the axis.  The generator is derived from (seed, axis) so
-    composition order cannot change the draw.
+    Its width is uniform on [0, the axis's widest band], which must be
+    narrower than the axis; its position keeps it inside the axis.  The
+    generator is derived from (seed, axis) so composition order cannot
+    change the draw.
     """
-    stream, max_width = _AXES[axis]
+    stream, max_width = _band_limits(num_rows, axis)
     rng = np.random.default_rng([seed, stream])
     width = int(rng.integers(0, max_width + 1))
     start = int(rng.integers(0, num_rows - width + 1))
@@ -99,10 +111,8 @@ def augment_corpus(clips: list[Spectrogram], seed: int,
         out.append((spec, Provenance(spec.source_id, "original")))
     for ci, spec in enumerate(clips):
         mel_bins, frames = spec.values.shape
-        if MAX_FREQ_WIDTH >= mel_bins:
-            raise MaskTooLarge(f"freq width {MAX_FREQ_WIDTH} >= {mel_bins} mel bins")
-        if MAX_TIME_WIDTH >= frames:
-            raise MaskTooLarge(f"time width {MAX_TIME_WIDTH} >= {frames} frames")
+        _band_limits(mel_bins, "freq")
+        _band_limits(frames, "time")
         fill = float(spec.values.mean())
         for ki, kind in enumerate(MASK_KINDS):
             variant_seed = int(np.random.default_rng([seed, ci, ki]).integers(0, 2**31 - 1))

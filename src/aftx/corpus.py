@@ -89,11 +89,16 @@ class FoldPlan:
 def binarize_majority(scores: JudgeScores) -> np.ndarray:
     """Label each clip 1 when a strict majority of judges scored it strictly
     above their own corpus-wide mean for this trait; ties count as not-above.
-    A matrix with no judges raises SchemaError.
+    A matrix that is not [judges, clips] raises ShapeError, one with no
+    judges SchemaError, and a NaN or infinite score NonFinite.
     """
     m = scores.matrix
+    if m.ndim != 2:
+        raise ShapeError(f"trait {scores.trait!r}: scores {m.shape} are not [judges, clips]")
     if m.shape[0] == 0:
         raise SchemaError(f"trait {scores.trait!r} has no judges")
+    if not np.isfinite(m).all():
+        raise NonFinite(f"trait {scores.trait!r} has a NaN or infinite score")
     reference = m.mean(axis=1, keepdims=True)   # one mean per judge
     votes = (m > reference).sum(axis=0)
     return (votes >= m.shape[0] // 2 + 1).astype(np.int8)
@@ -104,12 +109,14 @@ def summarize_continuous(times: np.ndarray, values: np.ndarray,
     """Mean of one annotator's trace over the clip window [start_s, end_s).
 
     ``times`` and ``values`` must be 1-D and of equal length (ShapeError),
-    and every value in the window finite (NonFinite)."""
+    every time finite and every value in the window finite (NonFinite)."""
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if times.ndim != 1 or times.shape != values.shape:
         raise ShapeError(f"times and values must be 1-D and of equal length, "
                          f"got shapes {times.shape} and {values.shape}")
+    if not np.isfinite(times).all():
+        raise NonFinite("annotation times include NaN or infinity")
     inside = (times >= start_s) & (times < end_s)
     if not inside.any():
         raise MissingAnnotation(
@@ -129,7 +136,8 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
     which keeps fold sizes within one clip of each other and per-fold label
     fractions close to the global fraction.  Speaker-disjoint mode instead
     assigns whole speakers to the currently smallest fold, so the size
-    invariant holds only as far as speaker clip counts allow.
+    invariant holds only as far as speaker clip counts allow.  A clip whose
+    label for ``trait`` is missing or other than 0 or 1 raises LabelError.
     """
     if len(clips) < NUM_FOLDS:
         raise InputTooShort(f"need at least {NUM_FOLDS} clips, got {len(clips)}")
@@ -137,7 +145,10 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
     for clip in clips:
         if trait not in clip.binary_labels:
             raise LabelError(f"clip {clip.clip_id!r} has no label for {trait!r}")
-        labels[clip.clip_id] = int(clip.binary_labels[trait])
+        label = clip.binary_labels[trait]
+        if label not in (0, 1):
+            raise LabelError(f"clip {clip.clip_id!r} has label {label!r} for {trait!r}, not 0/1")
+        labels[clip.clip_id] = int(label)
     if len(set(labels.values())) < 2:
         raise DegenerateLabels(f"trait {trait!r} has only one class")
 

@@ -47,18 +47,10 @@ def uar(cm: ConfusionMatrix) -> float:
 
 
 def phi(x, y) -> float:
-    """Phi coefficient of two binary vectors via the 2x2 contingency table;
-    every label must be 0 or 1."""
-    x, y = np.asarray(x), np.asarray(y)
-    if x.shape != y.shape:
-        raise ShapeError("phi needs equal-length vectors")
-    for name, v in (("x", x), ("y", y)):
-        if not np.isin(v, (0, 1)).all():
-            raise LabelError(f"phi: {name} holds labels other than 0 and 1")
-    n11 = int(((x == 1) & (y == 1)).sum())
-    n10 = int(((x == 1) & (y == 0)).sum())
-    n01 = int(((x == 0) & (y == 1)).sum())
-    n00 = int(((x == 0) & (y == 0)).sum())
+    """Phi coefficient of two binary vectors via their 2x2 contingency table,
+    ``ConfusionMatrix.from_predictions(x, y)``, which checks that they are
+    1-d vectors of one length (ShapeError) of 0/1 labels (LabelError)."""
+    (n00, n01), (n10, n11) = ConfusionMatrix.from_predictions(x, y).counts.tolist()
     n1_, n0_ = n11 + n10, n01 + n00
     n_1, n_0 = n11 + n01, n10 + n00
     denom = float(n1_) * n0_ * n_1 * n_0

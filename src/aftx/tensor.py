@@ -26,10 +26,12 @@ keeps only its input and recomputes its hidden layer.
 and closure once it has used them, so saved arrays are freed as the walk
 passes them, and a later backward that reaches a consumed node raises
 StaleGraph.  Only the operators the bundled speech models need are
-implemented, each in the one form they use: ``stack`` adds a first axis,
-``transpose`` and ``tmean`` take explicit axes, and layer norm adds
+implemented, each in the one form they use: ``add`` takes two tensors of
+one shape, ``feed_forward`` and ``layer_norm_residual`` take [rows, dim],
+``softmax_cross_entropy`` takes [batch, classes], ``stack`` adds a first
+axis, ``transpose`` and ``tmean`` take explicit axes, and layer norm adds
 ``LAYER_NORM_EPS`` = 1e-5 to the variance.  There is no GPU path and no
-broadcasting beyond what bias addition requires.
+broadcasting.
 """
 
 from __future__ import annotations
@@ -126,37 +128,21 @@ def _axis(axis, ndim: int, op: str) -> int:
         raise ShapeError(f"{op}: no axis {axis!r} in {ndim} dimensions") from exc
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # primitive operators
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """``a + b`` of two tensors of one shape."""
     a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data + b.data
-    except ValueError as exc:
-        raise ShapeError(f"cannot add {a.shape} and {b.shape}") from exc
-    a_shape = a.shape if a.requires_grad else None
-    b_shape = b.shape if b.requires_grad else None
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs operands of one shape, got {a.shape} and {b.shape}")
+    a_grad, b_grad = a.requires_grad, b.requires_grad
 
     def grad_fn(g):
-        return (None if a_shape is None else _unbroadcast(g, a_shape),
-                None if b_shape is None else _unbroadcast(g, b_shape))
+        return g if a_grad else None, g if b_grad else None
 
-    return _from_op(data, (a, b), grad_fn)
+    return _from_op(a.data + b.data, (a, b), grad_fn)
 
 
 def _check_layer(op: str, d_in: int, w: Tensor, b: Tensor) -> int:
@@ -441,16 +427,16 @@ def _relu_affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """The position-wise two-layer network relu(x @ w1 + b1) @ w2 + b2 as one
-    tape op, for ``x`` [d_in] or [rows, d_in].  The node keeps only ``x``
-    (and the weights it reads); its backward recomputes the hidden layer
-    and its ReLU mask by the forward's float operations."""
+    tape op, for ``x`` [rows, d_in], ``w1`` [d_in, hidden] and ``w2``
+    [hidden, d_out].  The node keeps only ``x`` (and the weights it reads);
+    its backward recomputes the hidden layer and its ReLU mask by the
+    forward's float operations."""
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"feed_forward expects x [d_in] or [rows, d_in], got {x.shape}")
-    hidden = _check_layer("feed_forward", x.shape[-1], w1, b1)
-    d_out = _check_layer("feed_forward", hidden, w2, b2)
-    x2 = x.data.reshape(-1, x.shape[-1])
-    rows, x_shape, w1_data, b1_data = x2.shape[0], x.shape, w1.data, b1.data
+    if x.data.ndim != 2:
+        raise ShapeError(f"feed_forward expects x [rows, d_in], got {x.shape}")
+    hidden = _check_layer("feed_forward", x.shape[1], w1, b1)
+    _check_layer("feed_forward", hidden, w2, b2)
+    x2, w1_data, b1_data = x.data, w1.data, b1.data
     data = _affine(_relu_affine(x2, w1_data, b1_data)[0], w2.data, b2.data)
     flags = (x.requires_grad, w1.requires_grad, b1.requires_grad)
     out_flags = (any(flags), w2.requires_grad, b2.requires_grad)
@@ -459,15 +445,14 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 
     def grad_fn(g):
         h, mask = (None, None) if x2 is None else _relu_affine(x2, w1_data, b1_data)
-        gh, gw2, gb2 = _linear_grads(g.reshape(rows, d_out), h, w2_data, out_flags)
+        gh, gw2, gb2 = _linear_grads(g, h, w2_data, out_flags)
         if gh is None:
             return None, None, None, gw2, gb2
         del h
         gh *= mask
-        gx, gw1, gb1 = _linear_grads(gh, x2, w1_data, flags)
-        return None if gx is None else gx.reshape(x_shape), gw1, gb1, gw2, gb2
+        return (*_linear_grads(gh, x2, w1_data, flags), gw2, gb2)
 
-    return _from_op(data.reshape(x_shape[:-1] + (d_out,)), (x, w1, b1, w2, b2), grad_fn)
+    return _from_op(data, (x, w1, b1, w2, b2), grad_fn)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
@@ -524,8 +509,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
 
 
 def layer_norm_residual(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize each row (last axis) of the residual sum ``x + y`` to zero
-    mean, unit variance, then apply an elementwise affine ``gain * xhat + bias``.
+    """Normalize each row of the residual sum ``x + y``, both [rows, dim],
+    to zero mean, unit variance, then apply an elementwise affine ``gain *
+    xhat + bias`` with ``gain`` and ``bias`` [dim].
 
     Variance is the population variance and ``LAYER_NORM_EPS`` sits inside
     the square root, so constant rows map to zero rather than NaN.  The sum is
@@ -535,9 +521,9 @@ def layer_norm_residual(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Ten
     x, y, gain, bias = as_tensor(x), as_tensor(y), as_tensor(gain), as_tensor(bias)
     if x.shape != y.shape:
         raise ShapeError(f"residual shapes differ: {x.shape} vs {y.shape}")
-    if x.data.ndim == 0 or x.shape[-1] == 0:
-        raise ShapeError(f"layer norm needs a non-empty last axis, got shape {x.shape}")
-    d = x.shape[-1]
+    if x.data.ndim != 2 or x.shape[1] == 0:
+        raise ShapeError(f"layer norm expects [rows, dim] with dim >= 1, got {x.shape}")
+    d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer norm affine params must have shape ({d},)")
     xhat = x.data + y.data
@@ -551,9 +537,8 @@ def layer_norm_residual(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Ten
     gain_data = gain.data
 
     def grad_fn(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=reduce_axes) if gain_grad else None
-        gbias = g.sum(axis=reduce_axes) if bias_grad else None
+        ggain = (g * xhat).sum(axis=0) if gain_grad else None
+        gbias = g.sum(axis=0) if bias_grad else None
         gx = None
         if x_grad or y_grad:
             gxhat = g * gain_data
@@ -569,15 +554,14 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over the batch of -log softmax(logits)[label], log-sum-exp
     stabilized so extreme logits cannot overflow.
 
-    ``logits`` is [batch, classes] (a single [classes] row is promoted) and
-    ``labels`` holds integer class ids.
+    ``logits`` is [batch, classes] and ``labels`` holds [batch] integer
+    class ids.
     """
     logits = as_tensor(logits)
-    squeeze = logits.data.ndim == 1
-    z = logits.data[None, :] if squeeze else logits.data
+    z = logits.data
     if z.ndim != 2:
         raise ShapeError(f"logits must be [batch, classes], got {logits.shape}")
-    raw = np.atleast_1d(np.asarray(labels))
+    raw = np.asarray(labels)
     if raw.dtype.kind not in "biuf" or (
             raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.round(raw))).all()):
         raise LabelError(f"labels must be integral class ids, got {raw.dtype} values "
@@ -603,8 +587,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), labels] -= 1.0
-        gz = p * (g / n)
-        return (gz[0] if squeeze else gz,)
+        return (p * (g / n),)
 
     return _from_op(data, (logits,), grad_fn)
 

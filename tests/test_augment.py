@@ -15,7 +15,7 @@ from aftx.augment import (
     augment_corpus,
     sample_mask_regions,
 )
-from aftx.errors import MaskTooLarge
+from aftx.errors import MaskTooLarge, ShapeError
 
 
 def random_spec(rng, mel_bins=24, frames=90, source_id="clip"):
@@ -112,6 +112,17 @@ class TestApplyMask:
             augment_corpus([random_spec(rng, 8, 90)], seed=0)
         with pytest.raises(MaskTooLarge):
             augment_corpus([random_spec(rng, 24, 40)], seed=0)
+
+    @pytest.mark.parametrize("num_rows, axis", [(3, "time"), (40, "time"), (8, "freq")])
+    def test_band_wider_than_axis(self, num_rows, axis):
+        # the rule augment_corpus applies; (3, "time") raised numpy's ValueError
+        with pytest.raises(MaskTooLarge):
+            sample_mask_regions(num_rows, axis, 1)
+
+    @pytest.mark.parametrize("axis", ["frequency", "Time", ""])
+    def test_unknown_axis(self, axis):
+        with pytest.raises(ShapeError, match=repr(axis)):
+            sample_mask_regions(90, axis, 1)
 
 
 class TestAugmentCorpus:

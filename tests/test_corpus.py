@@ -92,6 +92,22 @@ class TestBinarizeMajority:
         with pytest.raises(SchemaError):
             binarize_majority(scores_from_matrix(np.ones((0, 5))))
 
+    @pytest.mark.parametrize("shape", [(5,), (11, 4, 2)], ids=["1d", "3d"])
+    def test_matrix_not_judges_by_clips_rejected(self, shape):
+        scores = scores_from_matrix(np.ones((11, 4)))
+        scores.matrix = np.ones(shape)
+        with pytest.raises(ShapeError):
+            binarize_majority(scores)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, bad):
+        # without the check a NaN made its judge's mean NaN, and that judge
+        # silently never voted: these rows still labeled [0, 1, 0, 1]
+        matrix = np.tile([1.0, 5.0, 1.0, 5.0], (11, 1))
+        matrix[0, 1] = bad
+        with pytest.raises(NonFinite):
+            binarize_majority(scores_from_matrix(matrix))
+
 
 class TestSummarizeContinuous:
     def test_constant_trace(self):
@@ -135,6 +151,13 @@ class TestSummarizeContinuous:
         with pytest.raises(NonFinite):
             summarize_continuous(t, v, 2.0, 5.0)
         assert summarize_continuous(t, v, 5.0, 9.0) == 0.0   # outside the window
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected(self, bad):
+        # a NaN time falls outside every window, so its value was dropped
+        # and this window read 1.0
+        with pytest.raises(NonFinite):
+            summarize_continuous(np.array([0.0, bad, 2.0]), np.array([1.0, 5.0, 1.0]), 0.0, 3.0)
 
 
 def make_clips(labels, trait="EX", speakers=None):
@@ -217,6 +240,15 @@ class TestMakeFolds:
     def test_missing_trait_label(self):
         with pytest.raises(LabelError):
             make_folds(make_clips([0, 1] * 5), "AG", seed=0)
+
+    @pytest.mark.parametrize("bad", [2, 0.6, -1, np.nan], ids=["2", "0.6", "-1", "nan"])
+    def test_label_other_than_0_or_1_rejected(self, bad):
+        # labels {0, 2} gave only the 0-labeled clips a fold, and 0.6 was
+        # truncated to 0
+        clips = make_clips([0, 1] * 5)
+        clips[3].binary_labels["EX"] = bad
+        with pytest.raises(LabelError, match="c0003"):
+            make_folds(clips, "EX", seed=0)
 
 
 def planted_labels(num_clips, seed):

@@ -176,6 +176,10 @@ class TestPhi:
         with pytest.raises(ShapeError):
             phi([0, 1, 1], [0, 1])
 
+    def test_matrices_rejected(self):
+        with pytest.raises(ShapeError):
+            phi(np.eye(2, dtype=int), np.eye(2, dtype=int)[::-1])
+
     @pytest.mark.parametrize("x, y", [
         ([0, 1, 2, 1, 0], [0, 1, 1, 1, 0]),
         ([0.7, 1, 0, 1], [0, 1, 0, 1]),

@@ -36,9 +36,9 @@ any_shape = st.lists(sides, max_size=4).map(tuple)
 # them, the call given operand tensors and a small integer k, and the
 # documented output shapes given the operand shapes and k)
 OPS = {
-    "add": (2, lambda a, b: [(a, b), (b,)],
+    "add": (2, lambda a, b: [(a, b), (a, b)],
             lambda ts, k: add(*ts),
-            lambda s, k: [np.broadcast_shapes(*s)]),
+            lambda s, k: [s[0]]),
     "affine": (3, lambda r, i, o: [(r, i), (i, o), (o,)],
                lambda ts, k: linear(*ts),
                lambda s, k: [s[0][:-1] + s[1][-1:]]),

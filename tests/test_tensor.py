@@ -84,8 +84,17 @@ class TestShapeOpErrors:
         lambda x: tmean(x, -4),
         lambda x: tmean(Tensor(np.zeros((0, 3))), 0),
         lambda x: stack([x, Tensor(np.zeros((2, 4, 3)))]),
+        lambda x: add(x, Tensor(np.zeros(4))),
+        lambda x: feed_forward(reshape(x, (24,)), *(Tensor(np.zeros(s))
+                                                    for s in ((24, 2), (2,), (2, 3), (3,)))),
+        lambda x: softmax_cross_entropy(reshape(x, (24,)), [0]),
+        lambda x: layer_norm_residual(reshape(x, (24,)), reshape(x, (24,)),
+                                      Tensor(np.ones(24)), Tensor(np.zeros(24))),
+        lambda x: layer_norm_residual(x, x, Tensor(np.ones(4)), Tensor(np.zeros(4))),
     ], ids=["reshape-size", "reshape-type", "transpose-repeat", "transpose-short",
-            "transpose-range", "tmean", "tmean-neg", "tmean-empty", "stack"])
+            "transpose-range", "tmean", "tmean-neg", "tmean-empty", "stack", "add-broadcast",
+            "feed_forward-rank1", "cross_entropy-rank1", "layer_norm-rank1",
+            "layer_norm-rank3"])
     def test_shape_error(self, op):
         with pytest.raises(ShapeError):
             op(Tensor(np.zeros((2, 3, 4)), requires_grad=True))
@@ -354,15 +363,14 @@ def _layer_norm_of_sum_numpy(x, y, gain, bias, g, eps=1e-5):
     var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    reduce_axes = tuple(range(x.ndim - 1))
     gxhat = g * gain
     gx = inv_std * (gxhat - gxhat.mean(axis=-1, keepdims=True)
                     - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
-    return gain * xhat + bias, gx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+    return gain * xhat + bias, gx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
 class TestAddLayerNorm:
-    @pytest.mark.parametrize("shape", [(7,), (5, 6), (2, 3, 4)])
+    @pytest.mark.parametrize("shape", [(1, 7), (5, 6), (6, 4)])
     def test_bit_equal_to_add_then_layer_norm(self, shape):
         rng = np.random.default_rng(12)
         x, y, g = (rng.standard_normal(shape) for _ in range(3))
@@ -588,7 +596,7 @@ def _leaf(rng, *shape):
 
 # One forward per recorded op, every operand requiring grad.
 TAPE_OPS = [
-    ("add", lambda r: add(_leaf(r, 3, 4), _leaf(r, 4))),
+    ("add", lambda r: add(_leaf(r, 3, 4), _leaf(r, 3, 4))),
     ("relu", lambda r: relu(_leaf(r, 3, 4))),
     ("reshape", lambda r: reshape(_leaf(r, 3, 4), (4, 3))),
     ("transpose", lambda r: transpose(_leaf(r, 2, 3, 4), (1, 0, 2))),
