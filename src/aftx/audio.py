@@ -9,9 +9,11 @@ multiply the sample count by more than two, a data chunk that ends inside
 a sample or frame, and a float payload with NaN or infinite samples are
 rejected.
 
-The front end is the paper's: ``MEL_BINS`` = 80 mel bins over frames of
-``FRAME_LENGTH_MS`` = 25 ms every ``FRAME_SHIFT_MS`` = 10 ms, with the mel
-power floored at ``LOG_FLOOR`` = 1e-10 before the log.
+The front end is the paper's one configuration, so each of its sizes is a
+constant: ``SAMPLE_RATE`` = 16 kHz audio, frames of ``FRAME_LENGTH`` = 400
+samples (25 ms) every ``FRAME_SHIFT`` = 160 samples (10 ms), each
+zero-padded to a ``FFT_SIZE`` = 512-point FFT, and ``MEL_BINS`` = 80 mel
+bins, with the mel power floored at ``LOG_FLOOR`` = 1e-10 before the log.
 
 Both stages stream a clip rather than copy it whole.  ``load_wav`` reads its
 chunks through a memoryview of the file and keeps one float64 array of the
@@ -31,12 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputTooShort, NonFinite, ShapeError, UnsupportedCodec
+from .errors import FormatError, InputTooShort, NonFinite, NotReal, ShapeError, UnsupportedCodec
 
 SAMPLE_RATE = 16_000
 MEL_BINS = 80
-FRAME_LENGTH_MS = 25.0
-FRAME_SHIFT_MS = 10.0
+FRAME_LENGTH = 400      # 25 ms
+FRAME_SHIFT = 160       # 10 ms
+FFT_SIZE = 512          # FRAME_LENGTH rounded up to a power of two
 LOG_FLOOR = 1e-10
 
 WAVE_FORMAT_PCM = 0x0001
@@ -46,8 +49,7 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
 @dataclass
 class Waveform:
-    samples: np.ndarray          # float64 in [-1, 1]
-    sample_rate: int = SAMPLE_RATE
+    samples: np.ndarray          # float64 in [-1, 1], at SAMPLE_RATE
     source_id: str = ""
 
 
@@ -95,11 +97,12 @@ def _decode_samples(data: memoryview, fmt: int, channels: int, bits: int) -> np.
     return x
 
 
-def resample_linear(x: np.ndarray, src_rate: int, dst_rate: int) -> np.ndarray:
-    if src_rate == dst_rate or len(x) == 0:
-        return np.asarray(x, dtype=np.float64).copy()
-    out_n = int(round(len(x) * dst_rate / src_rate))
-    positions = np.arange(out_n) * (src_rate / dst_rate)
+def resample_linear(x: np.ndarray, src_rate: int) -> np.ndarray:
+    """``x``, sampled at ``src_rate``, linearly interpolated to ``SAMPLE_RATE``."""
+    if len(x) == 0:  # np.interp rejects an empty xp
+        return np.empty(0)
+    out_n = int(round(len(x) * SAMPLE_RATE / src_rate))
+    positions = np.arange(out_n) * (src_rate / SAMPLE_RATE)
     return np.interp(positions, np.arange(len(x)), x)
 
 
@@ -133,34 +136,40 @@ def load_wav(path) -> Waveform:
         raise FormatError(f"{path}: fmt declares no channels")
     if rate < 8_000:
         raise FormatError(f"{path}: sample rate {rate} Hz is below 8000 Hz")
-    x = _decode_samples(data, fmt, channels, bits)
-    # min and max propagate NaN and infinity, with no temporary of the clip's size
-    if len(x) and not np.isfinite([x.min(), x.max()]).all():
-        raise NonFinite(f"{path}: samples include NaN or infinity")
+    x = _checked_samples(_decode_samples(data, fmt, channels, bits), str(path))
     if rate != SAMPLE_RATE:
-        x = resample_linear(x, rate, SAMPLE_RATE)
+        x = resample_linear(x, rate)
     # equals max(|x|) exactly, with no |x| temporary
     peak = max(x.max(), -x.min()) if len(x) else 0.0
     if peak > 1.0:
         x /= peak  # x is this call's own array
-    return Waveform(samples=x, sample_rate=SAMPLE_RATE, source_id=path.stem)
+    return Waveform(samples=x, source_id=path.stem)
+
+
+def _checked_samples(samples, caller: str) -> np.ndarray:
+    """``samples`` as an array: ShapeError if not 1-D, NotReal if not real
+    numbers (complex, string or object), NonFinite if NaN or infinite."""
+    x = np.asarray(samples)
+    if x.ndim != 1:
+        raise ShapeError(f"{caller} needs 1-D samples, got shape {x.shape}")
+    if x.dtype.kind not in "biuf":
+        raise NotReal(f"{caller} samples are not real numbers, got dtype {x.dtype}")
+    # min and max propagate NaN and infinity, with no temporary of the clip's size
+    if len(x) and not np.isfinite([x.min(), x.max()]).all():
+        raise NonFinite(f"{caller} samples include NaN or infinity")
+    return x
 
 
 def write_wav(path, waveform: Waveform) -> None:
-    """Write 16-bit PCM mono.  Samples that are not 1-D raise ShapeError and
-    NaN or infinite samples raise NonFinite, before anything is written."""
-    x = np.asarray(waveform.samples)
-    if x.ndim != 1:
-        raise ShapeError(f"write_wav needs 1-D samples, got shape {x.shape}")
-    if len(x) and not np.isfinite([x.min(), x.max()]).all():
-        raise NonFinite("write_wav samples include NaN or infinity")
-    x = np.clip(x, -1.0, 1.0)
+    """Write 16-bit PCM mono at ``SAMPLE_RATE``.  Samples that are not 1-D
+    raise ShapeError, samples that are not real numbers NotReal, and NaN or
+    infinite samples NonFinite, before anything is written."""
+    x = np.clip(_checked_samples(waveform.samples, "write_wav"), -1.0, 1.0)
     pcm = np.round(x * 32767.0).astype("<i2").tobytes()
     hdr = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(pcm), b"WAVE", b"fmt ", 16,
-        WAVE_FORMAT_PCM, 1, waveform.sample_rate,
-        waveform.sample_rate * 2, 2, 16, b"data", len(pcm),
+        WAVE_FORMAT_PCM, 1, SAMPLE_RATE, SAMPLE_RATE * 2, 2, 16, b"data", len(pcm),
     )
     Path(path).write_bytes(hdr + pcm)
 
@@ -169,34 +178,24 @@ def write_wav(path, waveform: Waveform) -> None:
 # log-mel front-end
 # ---------------------------------------------------------------------------
 
-def hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (np.power(10.0, np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
-
-
 # frames windowed and transformed together in log_mel
 _BLOCK_FRAMES = 128
 
 
-@functools.lru_cache
-def mel_filterbank(mel_bins: int, fft_size: int, sample_rate: int = SAMPLE_RATE) -> np.ndarray:
-    """Triangular filters [mel_bins, fft_size//2 + 1], peaks at 1, spanning
-    0 Hz to Nyquist on the mel scale.
+@functools.cache
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters [MEL_BINS, FFT_SIZE//2 + 1] that peak at 1 and span
+    0 Hz to Nyquist on the HTK mel scale, mel = 2595 log10(1 + f/700).
 
-    Built once per argument triple; the cached array is read-only, so no
-    caller can change the bank that every later call receives."""
-    n_freqs = fft_size // 2 + 1
-    freqs = np.arange(n_freqs) * sample_rate / fft_size
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2), mel_bins + 2))
-    bank = np.zeros((mel_bins, n_freqs))
-    for b in range(mel_bins):
-        lo, center, hi = edges[b], edges[b + 1], edges[b + 2]
-        rising = (freqs - lo) / max(center - lo, 1e-12)
-        falling = (hi - freqs) / max(hi - center, 1e-12)
-        bank[b] = np.clip(np.minimum(rising, falling), 0.0, None)
+    Built once; the cached array is read-only, so no caller can change the
+    bank that every later call receives."""
+    freqs = np.arange(FFT_SIZE // 2 + 1) * SAMPLE_RATE / FFT_SIZE
+    top = 2595.0 * np.log10(1.0 + (SAMPLE_RATE / 2) / 700.0)
+    edges = 700.0 * (np.power(10.0, np.linspace(0.0, top, MEL_BINS + 2) / 2595.0) - 1.0)
+    lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rising = (freqs - lo) / (center - lo)
+    falling = (hi - freqs) / (hi - center)
+    bank = np.clip(np.minimum(rising, falling), 0.0, None)
     bank.setflags(write=False)
     return bank
 
@@ -205,50 +204,34 @@ def log_mel(w: Waveform) -> Spectrogram:
     """Hann-windowed power STFT through a ``MEL_BINS`` mel filter bank,
     floored natural log.
 
-    frames = floor((num_samples - frame_length) / frame_shift) + 1.
+    frames = floor((num_samples - FRAME_LENGTH) / FRAME_SHIFT) + 1.
     The frames are windowed and transformed ``_BLOCK_FRAMES`` at a time in
-    one reused zero-padded [block, fft_size] buffer, and their magnitudes
+    one reused zero-padded [block, FFT_SIZE] buffer, and their magnitudes
     are written straight into the one [frames, n_freqs] power array; the
     mel product then runs on the whole array, and the floor and log run in
     place on its result.  Every value equals, bit for bit, the whole-array
-    formula log(max(|rfft(frames * window, n=fft_size)|² @ bankᵀ, LOG_FLOOR)):
+    formula log(max(|rfft(frames * window, n=FFT_SIZE)|² @ bankᵀ, LOG_FLOOR)):
     each frame's transform does not depend on the rows beside it, while the
     mel product is left whole because BLAS may sum a block's rows in a
     different order.  Deterministic: identical inputs give bit-identical
-    outputs.  Samples must be 1-D and finite, and ``w.sample_rate`` high
-    enough that a frame and a hop each round to at least one sample.
+    outputs.  Samples must be 1-D, real and finite.
     """
-    x = np.asarray(w.samples, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"log_mel needs 1-D samples, got shape {x.shape}")
-    frame_length = int(round(w.sample_rate * FRAME_LENGTH_MS / 1000.0))
-    frame_shift = int(round(w.sample_rate * FRAME_SHIFT_MS / 1000.0))
-    if frame_length < 1 or frame_shift < 1:
-        raise ShapeError(f"log_mel needs one-sample frames and hops, got "
-                         f"{frame_length}-sample frames and {frame_shift}-sample hops "
-                         f"at {w.sample_rate} Hz")
-    if len(x) < frame_length:
+    x = _checked_samples(w.samples, "log_mel").astype(np.float64, copy=False)
+    if len(x) < FRAME_LENGTH:
         raise InputTooShort(
-            f"waveform of {len(x)} samples is shorter than one {frame_length}-sample frame")
-    # min and max propagate NaN and infinity, with no temporary of the clip's size
-    if not np.isfinite([x.min(), x.max()]).all():
-        raise NonFinite("log_mel samples include NaN or infinity")
-    num_frames = (len(x) - frame_length) // frame_shift + 1
+            f"waveform of {len(x)} samples is shorter than one {FRAME_LENGTH}-sample frame")
+    num_frames = (len(x) - FRAME_LENGTH) // FRAME_SHIFT + 1
 
-    fft_size = 1
-    while fft_size < frame_length:
-        fft_size *= 2
-    window = np.hanning(frame_length)
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame_length)[::frame_shift][:num_frames]
-    power = np.empty((num_frames, fft_size // 2 + 1))     # [frames, n_freqs]
-    block = np.zeros((min(_BLOCK_FRAMES, num_frames), fft_size))  # zero tail written once
+    window = np.hanning(FRAME_LENGTH)
+    frames = np.lib.stride_tricks.sliding_window_view(x, FRAME_LENGTH)[::FRAME_SHIFT][:num_frames]
+    power = np.empty((num_frames, FFT_SIZE // 2 + 1))     # [frames, n_freqs]
+    block = np.zeros((min(_BLOCK_FRAMES, num_frames), FFT_SIZE))  # zero tail written once
     for r in range(0, num_frames, _BLOCK_FRAMES):
         n = min(_BLOCK_FRAMES, num_frames - r)
-        np.multiply(frames[r:r + n], window, out=block[:n, :frame_length])
+        np.multiply(frames[r:r + n], window, out=block[:n, :FRAME_LENGTH])
         np.abs(np.fft.rfft(block[:n]), out=power[r:r + n])
     power *= power
-    bank = mel_filterbank(MEL_BINS, fft_size, w.sample_rate)
-    mel_power = power @ bank.T                             # [frames, mel_bins]
+    mel_power = power @ mel_filterbank().T                 # [frames, mel_bins]
     np.maximum(mel_power, LOG_FLOOR, out=mel_power)
     values = np.log(mel_power, out=mel_power).T            # [mel_bins, frames]
     return Spectrogram(values=values, source_id=w.source_id)

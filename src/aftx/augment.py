@@ -103,13 +103,17 @@ def augment_corpus(clips: list[Spectrogram], seed: int,
 
     Per-variant seeds are derived from (seed, clip index, kind index) so
     reruns are reproducible and recorded in the provenance tags.  Variants
-    are masked when read; a clip with no more than ``MAX_FREQ_WIDTH`` mel
-    bins or ``MAX_TIME_WIDTH`` frames raises MaskTooLarge here, at call time.
+    are masked when read; a clip whose values are not 2-D raises ShapeError,
+    and one with no more than ``MAX_FREQ_WIDTH`` mel bins or
+    ``MAX_TIME_WIDTH`` frames MaskTooLarge, here, at call time.
     """
     out: list[tuple[Spectrogram | MaskedSpectrogram, Provenance]] = []
     for spec in clips:
         out.append((spec, Provenance(spec.source_id, "original")))
     for ci, spec in enumerate(clips):
+        if spec.values.ndim != 2:
+            raise ShapeError(f"clip {spec.source_id!r} has values of shape "
+                             f"{spec.values.shape}, not [mel_bins, frames]")
         mel_bins, frames = spec.values.shape
         _band_limits(mel_bins, "freq")
         _band_limits(frames, "time")

@@ -136,13 +136,16 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
     which keeps fold sizes within one clip of each other and per-fold label
     fractions close to the global fraction.  Speaker-disjoint mode instead
     assigns whole speakers to the currently smallest fold, so the size
-    invariant holds only as far as speaker clip counts allow.  A clip whose
-    label for ``trait`` is missing or other than 0 or 1 raises LabelError.
+    invariant holds only as far as speaker clip counts allow.  A clip id that
+    appears twice, or a clip whose label for ``trait`` is missing or other
+    than 0 or 1, raises LabelError.
     """
     if len(clips) < NUM_FOLDS:
         raise InputTooShort(f"need at least {NUM_FOLDS} clips, got {len(clips)}")
     labels = {}
     for clip in clips:
+        if clip.clip_id in labels:
+            raise LabelError(f"clip id {clip.clip_id!r} appears twice")
         if trait not in clip.binary_labels:
             raise LabelError(f"clip {clip.clip_id!r} has no label for {trait!r}")
         label = clip.binary_labels[trait]

@@ -164,6 +164,12 @@ class TestAugmentCorpus:
             assert sa.values.tobytes() == sb.values.tobytes()
             assert ta == tb
 
+    @pytest.mark.parametrize("shape", [(50,), (80, 100, 2)], ids=["1d", "3d"])
+    def test_values_not_2d_rejected(self, shape):
+        clips = self.make_clips(1) + [Spectrogram(np.zeros(shape), source_id="odd")]
+        with pytest.raises(ShapeError, match="'odd'"):
+            augment_corpus(clips, seed=0)
+
 
 class TestLazyVariants:
     """Variants are recipes masked on read, equal to the eager ``apply_mask``

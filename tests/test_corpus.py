@@ -250,6 +250,13 @@ class TestMakeFolds:
         with pytest.raises(LabelError, match="c0003"):
             make_folds(clips, "EX", seed=0)
 
+    def test_repeated_clip_id_rejected(self):
+        # one assignment per id could not hold both clips, nor both labels
+        clips = [AnnotatedClip(clip_id=f"c{i % 5}", speaker_id=f"s{i}",
+                               binary_labels={"EX": i // 5}) for i in range(10)]
+        with pytest.raises(LabelError, match="'c0'"):
+            make_folds(clips, "EX", seed=0)
+
 
 def planted_labels(num_clips, seed):
     """Half positive, shuffled, as the benchmark corpora plant them."""

@@ -5,8 +5,9 @@ groups ``csv.DictReader`` rows into one Python dict per trait and fills each
 matrix cell by cell, on random valid tables; any single corruption must
 raise FormatError.  AFTX1 files of random shapes must round-trip, and every
 truncation of one must raise FormatError.  Every truncation of a valid WAV,
-and every few-byte change to its header, either loads as a bounded 16 kHz
-waveform or raises an AftxError.
+and every few-byte change to its header, either loads as a bounded
+waveform or raises an AftxError; a loaded file, at 8, 16 or 44.1 kHz,
+writes back as 16 kHz.
 """
 
 import csv
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from aftx.audio import SAMPLE_RATE, Waveform, load_wav, write_wav
+from aftx.audio import load_wav, write_wav
 from aftx.container import load_container, save_container
 from aftx.corpus import (
     CONTINUOUS,
@@ -31,6 +32,7 @@ from aftx.corpus import (
     write_scores_csv,
 )
 from aftx.errors import AftxError, FormatError
+from wavfiles import declared_rates, pcm16_wav_bytes
 
 COLUMNS = ("clip_id", "judge_id", "trait", "score")
 
@@ -237,13 +239,12 @@ wavs = st.builds(
 
 def load_or_aftx_error(path):
     """The loaded waveform, or None when load_wav raises an AftxError.  A
-    loaded waveform is 16 kHz, finite, peak-limited, and at most twice as
-    many samples as the file has 16-bit words."""
+    loaded waveform is finite, peak-limited, and at most twice as many
+    samples as the file has 16-bit words."""
     try:
         w = load_wav(path)
     except AftxError:
         return None
-    assert w.sample_rate == SAMPLE_RATE
     assert np.isfinite(w.samples).all() and np.abs(w.samples).max(initial=0.0) <= 1.0
     assert len(w.samples) <= path.stat().st_size + 1
     return w
@@ -254,8 +255,11 @@ def load_or_aftx_error(path):
 def test_every_wav_truncation_loads_or_raises(scratch, wav):
     rate, x = wav
     path = scratch / "whole.wav"
-    write_wav(path, Waveform(samples=x, sample_rate=rate))
-    assert load_or_aftx_error(path) is not None
+    path.write_bytes(pcm16_wav_bytes(x, rate))
+    w = load_or_aftx_error(path)
+    assert w is not None
+    write_wav(scratch / "resaved.wav", w)
+    assert declared_rates((scratch / "resaved.wav").read_bytes()) == (16_000, 32_000)
     blob = path.read_bytes()
     for size in range(len(blob)):
         path.write_bytes(blob[:size])
@@ -270,7 +274,7 @@ def test_wav_header_changes_load_or_raise(scratch, wav, changes, header_rate):
     rate field (bytes 24-27) may also get any value."""
     rate, x = wav
     path = scratch / "changed.wav"
-    write_wav(path, Waveform(samples=x, sample_rate=rate))
+    path.write_bytes(pcm16_wav_bytes(x, rate))
     blob = bytearray(path.read_bytes())
     if header_rate is not None:
         changes = [(24, header_rate.to_bytes(4, "little")), *changes]
