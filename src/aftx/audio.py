@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputTooShort, NonFinite, NotReal, ShapeError, UnsupportedCodec
+from .errors import FormatError, InputTooShort, OutOfRange, UnsupportedCodec, finite, real_array
 
 SAMPLE_RATE = 16_000
 MEL_BINS = 80
@@ -136,7 +136,7 @@ def load_wav(path) -> Waveform:
         raise FormatError(f"{path}: fmt declares no channels")
     if rate < 8_000:
         raise FormatError(f"{path}: sample rate {rate} Hz is below 8000 Hz")
-    x = _checked_samples(_decode_samples(data, fmt, channels, bits), str(path))
+    x = finite(_decode_samples(data, fmt, channels, bits), f"{path}: samples")
     if rate != SAMPLE_RATE:
         x = resample_linear(x, rate)
     # equals max(|x|) exactly, with no |x| temporary
@@ -146,25 +146,13 @@ def load_wav(path) -> Waveform:
     return Waveform(samples=x, source_id=path.stem)
 
 
-def _checked_samples(samples, caller: str) -> np.ndarray:
-    """``samples`` as an array: ShapeError if not 1-D, NotReal if not real
-    numbers (complex, string or object), NonFinite if NaN or infinite."""
-    x = np.asarray(samples)
-    if x.ndim != 1:
-        raise ShapeError(f"{caller} needs 1-D samples, got shape {x.shape}")
-    if x.dtype.kind not in "biuf":
-        raise NotReal(f"{caller} samples are not real numbers, got dtype {x.dtype}")
-    # min and max propagate NaN and infinity, with no temporary of the clip's size
-    if len(x) and not np.isfinite([x.min(), x.max()]).all():
-        raise NonFinite(f"{caller} samples include NaN or infinity")
-    return x
-
-
 def write_wav(path, waveform: Waveform) -> None:
-    """Write 16-bit PCM mono at ``SAMPLE_RATE``.  Samples that are not 1-D
-    raise ShapeError, samples that are not real numbers NotReal, and NaN or
-    infinite samples NonFinite, before anything is written."""
-    x = np.clip(_checked_samples(waveform.samples, "write_wav"), -1.0, 1.0)
+    """Write 16-bit PCM mono at ``SAMPLE_RATE``.  Before anything is written,
+    samples that are ragged or not 1-D raise ShapeError, not real NotReal,
+    NaN or infinite NonFinite, and outside [-1, 1] OutOfRange."""
+    x = finite(real_array(waveform.samples, "write_wav samples", ndim=1), "write_wav samples")
+    if len(x) and (x.min() < -1.0 or x.max() > 1.0):
+        raise OutOfRange(f"write_wav samples span [{x.min()}, {x.max()}], not within [-1, 1]")
     pcm = np.round(x * 32767.0).astype("<i2").tobytes()
     hdr = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
@@ -216,7 +204,7 @@ def log_mel(w: Waveform) -> Spectrogram:
     different order.  Deterministic: identical inputs give bit-identical
     outputs.  Samples must be 1-D, real and finite.
     """
-    x = _checked_samples(w.samples, "log_mel").astype(np.float64, copy=False)
+    x = finite(real_array(w.samples, "log_mel samples", ndim=1), "log_mel samples")
     if len(x) < FRAME_LENGTH:
         raise InputTooShort(
             f"waveform of {len(x)} samples is shorter than one {FRAME_LENGTH}-sample frame")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Spectrogram
-from .errors import MaskTooLarge, ShapeError
+from .errors import MaskTooLarge, ShapeError, finite, real_array
 
 FREQUENCY = "frequency"
 TIME = "time"
@@ -71,8 +71,8 @@ def sample_mask_regions(num_rows: int, axis: str, seed: int) -> tuple[int, int]:
 
 def _masked(values: np.ndarray, kind: str, seed: int, fill: float) -> np.ndarray:
     """A fresh C-contiguous copy of ``values`` with the bands of ``kind`` set to ``fill``."""
-    mel_bins, frames = values.shape
-    out = values.copy()
+    out = np.array(values, order="C")   # any array-like that augment_corpus accepts
+    mel_bins, frames = out.shape
     if kind in (FREQUENCY, FREQ_THEN_TIME):
         start, end = sample_mask_regions(mel_bins, "freq", seed)
         out[start:end, :] = fill
@@ -103,21 +103,21 @@ def augment_corpus(clips: list[Spectrogram], seed: int,
 
     Per-variant seeds are derived from (seed, clip index, kind index) so
     reruns are reproducible and recorded in the provenance tags.  Variants
-    are masked when read; a clip whose values are not 2-D raises ShapeError,
-    and one with no more than ``MAX_FREQ_WIDTH`` mel bins or
-    ``MAX_TIME_WIDTH`` frames MaskTooLarge, here, at call time.
+    are masked when read, so each clip is checked here: values that are
+    ragged or not 2-D raise ShapeError, not real NotReal, NaN or infinite
+    NonFinite, and with no more than ``MAX_FREQ_WIDTH`` mel bins or
+    ``MAX_TIME_WIDTH`` frames MaskTooLarge.
     """
     out: list[tuple[Spectrogram | MaskedSpectrogram, Provenance]] = []
     for spec in clips:
         out.append((spec, Provenance(spec.source_id, "original")))
     for ci, spec in enumerate(clips):
-        if spec.values.ndim != 2:
-            raise ShapeError(f"clip {spec.source_id!r} has values of shape "
-                             f"{spec.values.shape}, not [mel_bins, frames]")
-        mel_bins, frames = spec.values.shape
+        what = f"clip {spec.source_id!r} values [mel_bins, frames]"
+        values = finite(real_array(spec.values, what, ndim=2), what)
+        mel_bins, frames = values.shape
         _band_limits(mel_bins, "freq")
         _band_limits(frames, "time")
-        fill = float(spec.values.mean())
+        fill = float(values.mean())
         for ki, kind in enumerate(MASK_KINDS):
             variant_seed = int(np.random.default_rng([seed, ci, ki]).integers(0, 2**31 - 1))
             out.append((MaskedSpectrogram(spec, kind, variant_seed, fill),

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, NotReal
+from .errors import FormatError, real_array
 
 MAGIC = b"AFTX1"
 
@@ -33,8 +33,8 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
 
     Raises FormatError, before anything is written, for an entry that
     ``load_container`` would reject: a non-string or repeated name, or a
-    non-bool trainable flag; and NotReal for an array that is not real
-    numbers (complex, string or object), which a float64 cast would change.
+    non-bool trainable flag; ShapeError for a ragged array; and NotReal for
+    complex, string or object data, which a float64 cast would change.
     """
     path = Path(path)
     manifest = []
@@ -49,9 +49,7 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
         names.add(name)
         if not isinstance(trainable, (bool, np.bool_)):
             raise FormatError(f"{path}: entry {name!r} has a non-bool trainable {trainable!r}")
-        arr = np.asarray(arr)
-        if arr.dtype.kind not in "biuf":
-            raise NotReal(f"{path}: entry {name!r} is not real numbers, got dtype {arr.dtype}")
+        arr = real_array(arr, f"{path}: entry {name!r}")
         payload = np.ascontiguousarray(arr, dtype="<f8")
         manifest.append({
             "name": name,
@@ -132,12 +130,13 @@ def entries_digest(entries: list[Entry]) -> str:
     """SHA-256 over names, shapes and raw little-endian payloads.
 
     Entries are hashed in sorted-name order so the digest is independent of
-    dict iteration order.
+    dict iteration order.  Arrays are checked as ``save_container`` checks them.
     """
     h = hashlib.sha256()
     for name, arr, trainable in sorted(entries, key=lambda e: e[0]):
+        arr = real_array(arr, f"entry {name!r}")
         h.update(name.encode("utf-8"))
-        h.update(str(tuple(np.asarray(arr).shape)).encode("ascii"))
+        h.update(str(arr.shape).encode("ascii"))
         h.update(b"T" if trainable else b"F")
         h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return h.hexdigest()

@@ -30,10 +30,11 @@ from .errors import (
     InputTooShort,
     LabelError,
     MissingAnnotation,
-    NonFinite,
     SchemaError,
     ShapeError,
     UnknownKind,
+    finite,
+    real_array,
 )
 
 TRAITS = ("EX", "AG", "CO", "NE", "OP")
@@ -89,16 +90,13 @@ class FoldPlan:
 def binarize_majority(scores: JudgeScores) -> np.ndarray:
     """Label each clip 1 when a strict majority of judges scored it strictly
     above their own corpus-wide mean for this trait; ties count as not-above.
-    A matrix that is not [judges, clips] raises ShapeError, one with no
-    judges SchemaError, and a NaN or infinite score NonFinite.
+    A matrix that is ragged or not [judges, clips] raises ShapeError, not
+    real NotReal, empty SchemaError, and a NaN or infinite score NonFinite.
     """
-    m = scores.matrix
-    if m.ndim != 2:
-        raise ShapeError(f"trait {scores.trait!r}: scores {m.shape} are not [judges, clips]")
-    if m.shape[0] == 0:
-        raise SchemaError(f"trait {scores.trait!r} has no judges")
-    if not np.isfinite(m).all():
-        raise NonFinite(f"trait {scores.trait!r} has a NaN or infinite score")
+    what = f"trait {scores.trait!r} scores [judges, clips]"
+    m = finite(real_array(scores.matrix, what, ndim=2), what)
+    if 0 in m.shape:
+        raise SchemaError(f"{what} of shape {m.shape} have no judges or no clips")
     reference = m.mean(axis=1, keepdims=True)   # one mean per judge
     votes = (m > reference).sum(axis=0)
     return (votes >= m.shape[0] // 2 + 1).astype(np.int8)
@@ -108,23 +106,20 @@ def summarize_continuous(times: np.ndarray, values: np.ndarray,
                          start_s: float, end_s: float) -> float:
     """Mean of one annotator's trace over the clip window [start_s, end_s).
 
-    ``times`` and ``values`` must be 1-D and of equal length (ShapeError),
-    every time finite and every value in the window finite (NonFinite)."""
-    times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if times.ndim != 1 or times.shape != values.shape:
-        raise ShapeError(f"times and values must be 1-D and of equal length, "
-                         f"got shapes {times.shape} and {values.shape}")
-    if not np.isfinite(times).all():
-        raise NonFinite("annotation times include NaN or infinity")
+    ``times`` and ``values`` must be 1-D arrays of equal length
+    (ShapeError) of real numbers (NotReal), every time finite and every
+    value in the window finite (NonFinite)."""
+    times = real_array(times, "annotation times", ndim=1).astype(np.float64, copy=False)
+    values = real_array(values, "annotation values", ndim=1)
+    if times.shape != values.shape:
+        raise ShapeError(f"times {times.shape} and values {values.shape} differ in length")
+    finite(times, "annotation times")
     inside = (times >= start_s) & (times < end_s)
     if not inside.any():
         raise MissingAnnotation(
             f"no annotation samples in window [{start_s}, {end_s})")
-    window = values[inside]
-    if not np.isfinite(window).all():
-        raise NonFinite(f"annotation values in window [{start_s}, {end_s}) "
-                        f"include NaN or infinity")
+    window = finite(values[inside].astype(np.float64, copy=False),
+                    f"annotation values in window [{start_s}, {end_s})")
     return float(window.mean())
 
 
@@ -136,9 +131,10 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
     which keeps fold sizes within one clip of each other and per-fold label
     fractions close to the global fraction.  Speaker-disjoint mode instead
     assigns whole speakers to the currently smallest fold, so the size
-    invariant holds only as far as speaker clip counts allow.  A clip id that
-    appears twice, or a clip whose label for ``trait`` is missing or other
-    than 0 or 1, raises LabelError.
+    invariant holds only as far as speaker clip counts allow.  Fewer than
+    ``NUM_FOLDS`` clips, or in that mode speakers, raise InputTooShort.  A
+    clip id that appears twice, or a clip whose label for ``trait`` is
+    missing or other than 0 or 1, raises LabelError.
     """
     if len(clips) < NUM_FOLDS:
         raise InputTooShort(f"need at least {NUM_FOLDS} clips, got {len(clips)}")
@@ -161,6 +157,8 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
         by_speaker: dict[str, list[str]] = {}
         for clip in clips:
             by_speaker.setdefault(clip.speaker_id, []).append(clip.clip_id)
+        if len(by_speaker) < NUM_FOLDS:
+            raise InputTooShort(f"need at least {NUM_FOLDS} speakers, got {len(by_speaker)}")
         base = sorted(by_speaker)
         shuffled = [base[i] for i in rng.permutation(len(base))]
         # largest speakers first (seeded order among equals), each into the

@@ -1,5 +1,8 @@
 """Exception hierarchy. Every failure mode raised by the library is a subclass
-of AftxError, named after the contract it violates."""
+of AftxError, named after the contract it violates.  Every input boundary
+takes its arrays through the one array contract, ``real_array`` and ``finite``."""
+
+import numpy as np
 
 
 class AftxError(Exception):
@@ -31,7 +34,7 @@ class LabelError(AftxError, KeyError):
 
 
 class NotReal(AftxError):
-    """Tensor data is not real numbers: complex values, strings or objects."""
+    """Array data are not real numbers: complex values, strings or objects."""
 
 
 class StaleGraph(AftxError):
@@ -44,8 +47,8 @@ class MissingGrad(AftxError):
 
 
 class NonFinite(AftxError):
-    """A logit, gradient, correlation input, annotation value or WAV sample is
-    NaN or infinite."""
+    """A logit, gradient, correlation input, annotation value, judge score,
+    spectrogram value or WAV sample is NaN or infinite."""
 
 
 # --- audio / augmentation ---
@@ -56,6 +59,10 @@ class FormatError(AftxError):
 
 class UnsupportedCodec(AftxError):
     """WAVE codec other than 16-bit PCM or IEEE float."""
+
+
+class OutOfRange(AftxError):
+    """A sample to be written as 16-bit PCM lies outside [-1, 1]."""
 
 
 class MaskTooLarge(AftxError):
@@ -88,3 +95,27 @@ class UndefinedRecall(AftxError):
 
 class UndefinedCorrelation(AftxError):
     """Correlation is undefined (constant input or zero variance)."""
+
+
+# --- the array contract ---
+
+def real_array(values, what: str, ndim: int | None = None) -> np.ndarray:
+    """``values`` as an array, not copied if it is one: ShapeError if ragged or
+    not ``ndim``-D (if given), NotReal if complex, string or object data."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise ShapeError(f"{what}: not a rectangular array ({exc})") from exc
+    if ndim is not None and arr.ndim != ndim:
+        raise ShapeError(f"{what}: expected {ndim}-D, got shape {arr.shape}")
+    if arr.dtype.kind not in "biuf":
+        raise NotReal(f"{what}: not real numbers, got dtype {arr.dtype}")
+    return arr
+
+
+def finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr``, or NonFinite if it holds NaN or infinity: its min and max
+    propagate both, so no temporary of the array's size is made."""
+    if arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+        raise NonFinite(f"{what}: NaN or infinity")
+    return arr

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import LabelError, NonFinite, ShapeError, UndefinedCorrelation, UndefinedRecall
+from .errors import LabelError, ShapeError, UndefinedCorrelation, UndefinedRecall, finite, real_array
 from .corpus import TRAITS
 
 
@@ -25,10 +25,10 @@ class ConfusionMatrix:
     @classmethod
     def from_predictions(cls, y_true, y_pred) -> "ConfusionMatrix":
         """Count 1-d label vectors; every label must be 0 or 1."""
-        y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
-        if y_true.ndim != 1 or y_true.shape != y_pred.shape:
-            raise ShapeError(f"y_true and y_pred must be 1-d vectors of the same length, "
-                             f"got shapes {y_true.shape} and {y_pred.shape}")
+        y_true = real_array(y_true, "y_true", ndim=1)
+        y_pred = real_array(y_pred, "y_pred", ndim=1)
+        if y_true.shape != y_pred.shape:
+            raise ShapeError(f"y_true {y_true.shape} and y_pred {y_pred.shape} differ in length")
         for name, y in (("y_true", y_true), ("y_pred", y_pred)):
             if not np.isin(y, (0, 1)).all():
                 raise LabelError(f"{name} holds labels other than 0 and 1")
@@ -69,13 +69,12 @@ def _unit_centred(v: np.ndarray) -> np.ndarray:
 
 
 def pearson(x, y) -> float:
-    """Sample Pearson correlation of two finite vectors of any magnitude."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
+    """Sample Pearson correlation of two vectors of any magnitude: 1-D and of
+    one length (ShapeError), real (NotReal) and finite (NonFinite)."""
+    x = finite(real_array(x, "pearson x", ndim=1), "pearson x").astype(np.float64, copy=False)
+    y = finite(real_array(y, "pearson y", ndim=1), "pearson y").astype(np.float64, copy=False)
+    if x.shape != y.shape:
         raise ShapeError("pearson needs two equal-length vectors")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise NonFinite("pearson got a non-finite input")
     if len(x) < 2:
         raise UndefinedCorrelation("pearson needs at least two samples")
     xc, yc = _unit_centred(x), _unit_centred(y)

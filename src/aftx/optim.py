@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingGrad, NonFinite
+from .errors import MissingGrad, finite
 from .tensor import Parameter
 
 WEIGHT_DECAY = 1e-5
@@ -43,8 +43,7 @@ class AdamW:
             g = p.tensor.grad
             if g is None:
                 raise MissingGrad(f"trainable parameter {name!r} has no gradient")
-            if not np.isfinite(g).all():
-                raise NonFinite(f"trainable parameter {name!r} has a non-finite gradient")
+            finite(g, f"gradient of trainable parameter {name!r}")
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - BETA1 ** t

@@ -45,10 +45,11 @@ from .errors import (
     HeadMismatch,
     InputTooShort,
     LabelError,
-    NonFinite,
     NotReal,
     ShapeError,
     StaleGraph,
+    finite,
+    real_array,
 )
 
 LAYER_NORM_EPS = 1e-5
@@ -65,13 +66,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        try:
-            arr = np.asarray(data)
-        except ValueError as exc:
-            raise ShapeError(f"tensor data is not a rectangular array: {exc}") from exc
-        if arr.dtype.kind not in "biuf":
-            raise NotReal(f"tensor data must be real numbers, got dtype {arr.dtype}")
-        self.data = arr.astype(np.float64, copy=False)
+        self.data = real_array(data, "tensor data").astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._node: _Node | None = None
@@ -95,14 +90,13 @@ class _Node:
 
     A parent's entry is its node, the parent itself when it is a leaf that
     requires grad, or None for a constant.  ``backward`` empties both fields
-    and sets ``done`` once it has called ``grad_fn``."""
+    once it has called ``grad_fn``, so a consumed node has ``grad_fn`` None."""
 
-    __slots__ = ("parents", "grad_fn", "done")
+    __slots__ = ("parents", "grad_fn")
 
     def __init__(self, parents: tuple, grad_fn):
         self.parents = parents
         self.grad_fn = grad_fn
-        self.done = False
 
 
 def as_tensor(x) -> Tensor:
@@ -555,15 +549,17 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     stabilized so extreme logits cannot overflow.
 
     ``logits`` is [batch, classes] and ``labels`` holds [batch] integer
-    class ids.
+    class ids; any other labels, ragged lists too, raise LabelError.
     """
     logits = as_tensor(logits)
     z = logits.data
     if z.ndim != 2:
         raise ShapeError(f"logits must be [batch, classes], got {logits.shape}")
-    raw = np.asarray(labels)
-    if raw.dtype.kind not in "biuf" or (
-            raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.round(raw))).all()):
+    try:
+        raw = real_array(labels, "labels")
+    except (ShapeError, NotReal) as exc:
+        raise LabelError(f"labels must be integral class ids: {exc}") from exc
+    if raw.dtype.kind == "f" and not (np.isfinite(raw) & (raw == np.round(raw))).all():
         raise LabelError(f"labels must be integral class ids, got {raw.dtype} values "
                          f"that are not all integers")
     labels = raw.astype(np.int64)
@@ -575,8 +571,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         raise LabelError(f"labels must lie in [0, {c}), got range "
                          f"[{labels.min()}, {labels.max()}]")
-    if not np.isfinite(z).all():
-        raise NonFinite("softmax_cross_entropy got non-finite logits")
+    finite(z, "softmax_cross_entropy logits")
 
     shifted = z - z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
@@ -628,7 +623,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(entry))
         todo.append((entry, True))
         if isinstance(entry, _Node):
-            if entry.done:
+            if entry.grad_fn is None:
                 raise StaleGraph("backward already ran through this graph; "
                                  "rerun the forward pass")
             for parent in entry.parents:
@@ -653,7 +648,7 @@ def backward(loss: Tensor) -> None:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = pg
-        entry.parents, entry.grad_fn, entry.done = (), None, True
+        entry.parents, entry.grad_fn = (), None
 
 
 # ---------------------------------------------------------------------------

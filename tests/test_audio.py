@@ -18,6 +18,7 @@ from aftx.errors import (
     InputTooShort,
     NonFinite,
     NotReal,
+    OutOfRange,
     ShapeError,
     UnsupportedCodec,
 )
@@ -176,6 +177,21 @@ class TestWriteWav:
         with pytest.raises(NotReal):
             write_wav(path, Waveform(samples=NOT_REAL[kind]))
         assert not path.exists()
+
+    @pytest.mark.parametrize("samples", [np.array([1000, -1000, 0], dtype=np.int16),
+                                         np.array([0.5, -1.0, 1.0 + 1e-9])],
+                             ids=["int16-pcm", "just-above-one"])
+    def test_samples_outside_unit_range_rejected(self, tmp_path, samples):
+        # they were clipped: these int16 values read back as [0.99997, -0.99997, 0]
+        path = tmp_path / "loud.wav"
+        with pytest.raises(OutOfRange):
+            write_wav(path, Waveform(samples=samples))
+        assert not path.exists()
+
+    def test_unit_range_endpoints_written(self, tmp_path):
+        path = tmp_path / "full_scale.wav"
+        write_wav(path, Waveform(samples=np.array([-1.0, 1.0, 0.0])))
+        np.testing.assert_array_equal(load_wav(path).samples * 32768, [-32767, 32767, 0])
 
 
 class TestResample:

@@ -208,6 +208,15 @@ class TestLazyVariants:
         for clip, before in zip(clips, sources):
             assert clip.values.tobytes() == before.tobytes()
 
+    def test_list_values_mask_as_their_array(self):
+        # augment_corpus takes any real 2-D array-like, as every boundary
+        # does; a nested list raised AttributeError ('list' has no 'ndim')
+        spec = self.make_clips(1)[0]
+        as_list = Spectrogram(spec.values.tolist(), spec.source_id)
+        for (a, _), (b, _) in zip(augment_corpus([spec], seed=4)[1:],
+                                  augment_corpus([as_list], seed=4)[1:]):
+            assert a.values.tobytes() == b.values.tobytes()
+
     def test_mask_too_large_raises_at_call_time(self):
         # a clip too narrow for a band raises from the call, not from a
         # later read of a variant, even after a clip that fits

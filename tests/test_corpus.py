@@ -92,6 +92,11 @@ class TestBinarizeMajority:
         with pytest.raises(SchemaError):
             binarize_majority(scores_from_matrix(np.ones((0, 5))))
 
+    def test_no_clips_rejected(self):
+        # each judge's mean over no clips warned "Mean of empty slice"
+        with pytest.raises(SchemaError):
+            binarize_majority(scores_from_matrix(np.ones((11, 0))))
+
     @pytest.mark.parametrize("shape", [(5,), (11, 4, 2)], ids=["1d", "3d"])
     def test_matrix_not_judges_by_clips_rejected(self, shape):
         scores = scores_from_matrix(np.ones((11, 4)))
@@ -236,6 +241,12 @@ class TestMakeFolds:
     def test_fewer_clips_than_folds(self):
         with pytest.raises(InputTooShort):
             make_folds(make_clips([0, 1, 0, 1]), "EX", seed=0)
+
+    def test_fewer_speakers_than_folds(self):
+        # ten clips of one speaker all went to fold 0, leaving folds 1-4 empty
+        clips = make_clips([0, 1] * 5, speakers=["spk0"] * 10)
+        with pytest.raises(InputTooShort):
+            make_folds(clips, "EX", seed=0, speaker_disjoint=True)
 
     def test_missing_trait_label(self):
         with pytest.raises(LabelError):
