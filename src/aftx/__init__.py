@@ -3,7 +3,8 @@ models to Big-Five personality perception.
 
 Subpackage map:
 
-- ``tensor`` / ``layers`` / ``optim``: float64 autograd core, transformer
+- ``tensor`` / ``layers`` / ``optim``: float64 autograd core (a frozen
+  attention or feed-forward forward computes in float32), transformer
   blocks, AdamW.
 - ``container``: the "AFTX1" tensor file format.
 - ``audio`` / ``augment``: WAV ingestion, log-mel features, spectrogram

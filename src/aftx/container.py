@@ -40,15 +40,7 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
     manifest = []
     payloads = []
     offset = 0
-    names: set[str] = set()
-    for name, arr, trainable in entries:
-        if not isinstance(name, str):
-            raise FormatError(f"{path}: entry name {name!r} is not a string")
-        if name in names:
-            raise FormatError(f"{path}: entry name {name!r} appears twice")
-        names.add(name)
-        if not isinstance(trainable, (bool, np.bool_)):
-            raise FormatError(f"{path}: entry {name!r} has a non-bool trainable {trainable!r}")
+    for name, arr, trainable in _checked_entries(entries, str(path)):
         arr = real_array(arr, f"{path}: entry {name!r}")
         payload = np.ascontiguousarray(arr, dtype="<f8")
         manifest.append({
@@ -118,6 +110,23 @@ def load_container(path) -> list[Entry]:
     return entries
 
 
+def _checked_entries(entries, where: str) -> list[Entry]:
+    """``entries`` as a list; FormatError, naming ``where``, for a non-string
+    or repeated name or a non-bool trainable flag, which ``load_container``
+    would reject."""
+    entries = list(entries)
+    names: set[str] = set()
+    for name, _, trainable in entries:
+        if not isinstance(name, str):
+            raise FormatError(f"{where}: entry name {name!r} is not a string")
+        if name in names:
+            raise FormatError(f"{where}: entry name {name!r} appears twice")
+        names.add(name)
+        if not isinstance(trainable, (bool, np.bool_)):
+            raise FormatError(f"{where}: entry {name!r} has a non-bool trainable {trainable!r}")
+    return entries
+
+
 def _is_count(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
@@ -130,10 +139,12 @@ def entries_digest(entries: list[Entry]) -> str:
     """SHA-256 over names, shapes and raw little-endian payloads.
 
     Entries are hashed in sorted-name order so the digest is independent of
-    dict iteration order.  Arrays are checked as ``save_container`` checks them.
+    dict iteration order.  Names, flags and arrays are checked as
+    ``save_container`` checks them.
     """
     h = hashlib.sha256()
-    for name, arr, trainable in sorted(entries, key=lambda e: e[0]):
+    for name, arr, trainable in sorted(_checked_entries(entries, "entries_digest"),
+                                       key=lambda e: e[0]):
         arr = real_array(arr, f"entry {name!r}")
         h.update(name.encode("utf-8"))
         h.update(str(arr.shape).encode("ascii"))

@@ -129,6 +129,18 @@ def test_entries_read_at_offsets_and_writable(tmp_path):
     assert a.flags.writeable and b.flags.writeable
 
 
+@pytest.mark.parametrize("entries", [
+    [(1, np.zeros(2), True)],
+    [(1, np.zeros(2), True), ("a", np.zeros(2), True)],
+    [("a", np.zeros(2), "yes")],
+], ids=["int_name", "int_and_str_names", "string_trainable"])
+def test_digest_rejects_what_the_writer_rejects(entries):
+    """An int name made the digest raise AttributeError, an int beside a
+    string TypeError from the sort, and a flag of "yes" was hashed as T."""
+    with pytest.raises(FormatError):
+        entries_digest(entries)
+
+
 def test_digest_stable_and_order_independent():
     rng = np.random.default_rng(1)
     a = ("alpha", rng.standard_normal(4), True)

@@ -189,21 +189,75 @@ def _identity_mha_params(dim):
                 wv=eye(), bv=zero(), wo=eye(), bo=zero())
 
 
-class TestMultiHeadAttention:
-    def test_single_frame_is_value_projection(self):
-        x = Tensor(np.array([[0.3, -1.2, 0.5, 2.0]]))
-        out = multi_head_attention(x, 2, **_identity_mha_params(4))
-        np.testing.assert_allclose(out.data, x.data, atol=1e-12)
+# A forward whose operands all have requires_grad False runs in float32
+# and keeps each hand case's own tolerance; with x requiring grad it runs
+# in float64 and is held to TAPED_TOL.
+FROZEN_OR_TAPED = pytest.mark.parametrize("taped", [False, True], ids=["frozen", "taped"])
+TAPED_TOL = {"atol": 1e-12, "rtol": 0}
 
-    def test_two_frame_hand_case(self):
+# Encoder shapes: 499 frames of width 128, 4 heads, a 256-wide feed-forward.
+MHA_SHAPES = [(128, 128), (128,)] * 4
+FFN_SHAPES = [(128, 256), (256,), (256, 128), (128,)]
+
+
+def _mha4(x, *params):
+    return multi_head_attention(x, 4, *params)
+
+
+def _encoder_arrays(seed, shapes):
+    """x [499, 128] and weights of ``shapes``: glorot-scaled matrices and
+    small biases."""
+    rng = np.random.default_rng(seed)
+    scale = lambda s: math.sqrt(2.0 / sum(s)) if len(s) == 2 else 0.1
+    return [rng.standard_normal((499, 128))] + [rng.standard_normal(s) * scale(s) for s in shapes]
+
+
+def _call(op, arrays, grad):
+    """``op`` over fresh Tensors of ``arrays``; operand i requires grad
+    where ``grad[i]``."""
+    return op(*(Tensor(a, requires_grad=g) for a, g in zip(arrays, grad)))
+
+
+def _assert_frozen_agrees_with_taped(op, shapes, seed):
+    arrays = _encoder_arrays(seed, shapes)
+    frozen = _call(op, arrays, [False] * len(arrays))
+    taped = _call(op, arrays, [True] + [False] * len(shapes))
+    assert frozen.data.dtype == np.float64 and frozen._node is None
+    assert np.abs(frozen.data - taped.data).max() <= 1e-5 * np.abs(taped.data).max()
+
+
+def _assert_one_grad_operand_gives_the_taped_output(op, shapes, operand):
+    arrays = _encoder_arrays(0, shapes)
+    one = _call(op, arrays, [i == operand for i in range(len(arrays))])
+    assert np.array_equal(one.data, _call(op, arrays, [True] * len(arrays)).data)
+
+
+class TestMultiHeadAttention:
+    @FROZEN_OR_TAPED
+    def test_single_frame_is_value_projection(self, taped):
+        x = Tensor(np.array([[0.3, -1.2, 0.5, 2.0]]), requires_grad=taped)
+        out = multi_head_attention(x, 2, **_identity_mha_params(4))
+        np.testing.assert_allclose(out.data, x.data, **(TAPED_TOL if taped else {"atol": 1e-12}))
+
+    @FROZEN_OR_TAPED
+    def test_two_frame_hand_case(self, taped):
         # x = I2, identity projections, one head: attention is
         # softmax([[1,0],[0,1]] / sqrt(2)) and V = x, so the output equals
         # the attention matrix itself.
-        x = Tensor(np.eye(2))
+        x = Tensor(np.eye(2), requires_grad=taped)
         out = multi_head_attention(x, 1, **_identity_mha_params(2))
         p = 0.6697615493266569  # exp(1/sqrt(2)) / (exp(1/sqrt(2)) + 1)
         expected = np.array([[p, 1 - p], [1 - p, p]])
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data, expected,
+                                   **(TAPED_TOL if taped else {"atol": 1e-12}))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_frozen_agrees_with_taped_on_encoder_shapes(self, seed):
+        _assert_frozen_agrees_with_taped(_mha4, MHA_SHAPES, seed)
+
+    @pytest.mark.parametrize("operand", range(9))
+    def test_one_grad_operand_gives_the_taped_output(self, operand):
+        _assert_one_grad_operand_gives_the_taped_output(_mha4, MHA_SHAPES, operand)
 
     def test_head_mismatch(self):
         x = Tensor(np.zeros((2, 6)))
@@ -324,6 +378,14 @@ class TestFeedForward:
         with pytest.raises(ShapeError):
             feed_forward(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 8))),
                          Tensor(np.zeros(8)), Tensor(np.ones((8, 3))), Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_frozen_agrees_with_taped_on_encoder_shapes(self, seed):
+        _assert_frozen_agrees_with_taped(feed_forward, FFN_SHAPES, seed)
+
+    @pytest.mark.parametrize("operand", range(5))
+    def test_one_grad_operand_gives_the_taped_output(self, operand):
+        _assert_one_grad_operand_gives_the_taped_output(feed_forward, FFN_SHAPES, operand)
 
 
 def _zeros_like(x):
@@ -564,17 +626,18 @@ class TestBackwardEngine:
 class TestNumericalHygiene:
     """No NaN/Inf on bounded inputs: stabilized softmax, epsilon-guarded norms."""
 
-    def test_softmax_rows_sum_to_one(self):
+    @FROZEN_OR_TAPED
+    def test_softmax_rows_sum_to_one(self, taped):
         """Attention scores of ±1e3 inputs: every value is the constant 1 and
         the output projection is the identity, so each output cell is one
         row of weights summed."""
         rng = np.random.default_rng(5)
-        x = Tensor(rng.uniform(-1e3, 1e3, size=(20, 8)))
+        x = Tensor(rng.uniform(-1e3, 1e3, size=(20, 8)), requires_grad=taped)
         params = _identity_mha_params(8)
         params["wv"], params["bv"] = Tensor(np.zeros((8, 8))), Tensor(np.ones(8))
         out = multi_head_attention(x, 2, **params).data
         assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, 1.0, atol=1e-9)
+        np.testing.assert_allclose(out, 1.0, **(TAPED_TOL if taped else {"atol": 1e-9}))
 
     def test_layer_norm_bounded_inputs(self):
         rng = np.random.default_rng(6)
