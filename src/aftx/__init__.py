@@ -3,9 +3,10 @@ models to Big-Five personality perception.
 
 Subpackage map:
 
-- ``tensor`` / ``layers`` / ``optim``: float64 autograd core (a frozen
-  attention or feed-forward forward computes in float32), transformer
-  blocks, AdamW.
+- ``tensor`` / ``layers`` / ``optim``: autograd core (an op that records a
+  node computes in float64; one that records none, as in a frozen
+  encoder's forward, computes in and returns float32), transformer blocks,
+  AdamW.
 - ``container``: the "AFTX1" tensor file format.
 - ``audio`` / ``augment``: WAV ingestion, log-mel features, spectrogram
   masking.

@@ -113,6 +113,12 @@ def real_array(values, what: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+def is_whole(n) -> bool:
+    """Whether ``n`` is an integer (Python's or numpy's) and not a bool: the
+    contract of a size, a count or a stride."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def finite(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr``, or NonFinite if it holds NaN or infinity: its min and max
     propagate both, so no temporary of the array's size is made."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OddDimension, ShapeError
+from .errors import OddDimension, ShapeError, is_whole
 from .tensor import (  # noqa: F401  (the encoder's sublayers, re-exported)
     Tensor,
     feed_forward,
@@ -27,10 +27,11 @@ def positional_encoding(num_frames: int, dim: int) -> Tensor:
     PE[pos, 2i] = sin(pos / 10000^(2i/dim)) and PE[pos, 2i+1] = cos(...),
     so row 0 alternates 0, 1, 0, 1.  Constant: it carries no gradient.
     """
+    if not (is_whole(num_frames) and is_whole(dim)) or num_frames < 1 or dim < 1:
+        raise ShapeError(f"positional encoding needs positive whole num_frames and dim, "
+                         f"got {num_frames!r} and {dim!r}")
     if dim % 2 != 0:
         raise OddDimension(f"positional encoding dimension must be even, got {dim}")
-    if num_frames < 1 or dim < 1:
-        raise ShapeError("positional encoding needs positive num_frames and dim")
     pos = np.arange(num_frames, dtype=np.float64)[:, None]
     inv_freq = np.power(10000.0, -np.arange(0, dim, 2, dtype=np.float64) / dim)
     angles = pos * inv_freq[None, :]

@@ -1,13 +1,22 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
-``Tensor.data`` is always float64.  One exception in how it is computed:
-``multi_head_attention`` and ``feed_forward`` compute a forward that
-records no node, because no operand requires grad (a frozen encoder's
-forward), in float32, and their output is cast back to float64.  On
-encoder-shaped inputs ([499, 128], 4 heads, feed-forward 256) that output
-agrees with the float64 forward within 1e-5 of its largest magnitude
-(measured: at most 8.1e-7).  Every other op, every forward that records a
-node, ``backward`` and the gradient checks stay float64.
+One rule sets the dtype.  An op that records a node, because some operand
+requires grad, computes in float64 and returns float64; a float32 operand
+is promoted to float64 there.  An op that records no node (the forward of
+a frozen encoder) computes in float32, and its output keeps float32, so
+the next frozen op reads it without a copy.  ``Tensor(...)`` built by a
+caller is float64.  ``_compute_arrays`` holds the rule, and every op reads
+its operands through it, with two exceptions on the frozen side: the ops
+that only move values (``reshape``, ``transpose``, ``stack``) keep their
+operands' dtype, and the loss ``softmax_cross_entropy`` computes in
+float64.  ``backward`` and the gradient checks stay float64.
+
+A frozen forward's output agrees with the float64 taped forward within
+1e-5 of its largest magnitude.  Measured over a whole encoder (``conv1d``
+80 -> 128 channels over 998 log-mel frames, two post-norm layers with 4
+heads and a 256-wide feed-forward, the benchmark's checkpoint, 16 clips):
+each state within 8.9e-7 of its largest magnitude, and the mean-pooled
+[layers + 1, dim] stacks within 8.5e-7 of each layer's.
 
 The engine is a plain tape.  Every operation that involves a tensor with
 ``requires_grad`` gives its output a node: the tape entries of its parents
@@ -58,6 +67,7 @@ from .errors import (
     ShapeError,
     StaleGraph,
     finite,
+    is_whole,
     real_array,
 )
 
@@ -65,7 +75,8 @@ LAYER_NORM_EPS = 1e-5
 
 
 class Tensor:
-    """A numpy float64 array plus the bookkeeping reverse mode needs.
+    """A numpy array plus the bookkeeping reverse mode needs: float64, or
+    float32 if an op that records no node made it (the module docstring).
 
     ``grad`` is populated by :func:`backward` on tensors that require
     gradients.  Intermediate gradients are not retained.  A tensor made by a
@@ -114,22 +125,33 @@ def as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
+def _from_op(data, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
+    """The output of an op: with a node if any parent requires grad, and
+    ``data`` as the op computed it, in the dtype ``_compute_arrays`` chose."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out._node = np.asarray(data), None, None
+    out.requires_grad = _records(parents)
+    if out.requires_grad:
         out._node = _Node(tuple((p if p._node is None else p._node) if p.requires_grad
                                 else None for p in parents), grad_fn)
     return out
 
 
-def _compute_arrays(tensors) -> list[np.ndarray]:
-    """The operands' arrays in the dtype their op computes in: float64 if
-    any operand requires grad, which is also when the op records a node,
-    and float32 if none does.  A float64 array comes back as itself, so the
-    taped path copies nothing."""
-    dtype = np.float64 if any(t.requires_grad for t in tensors) else np.float32
-    return [t.data.astype(dtype, copy=False) for t in tensors]
+def _records(tensors) -> bool:
+    """Whether an op over ``tensors`` records a node: some operand requires grad."""
+    return any(t.requires_grad for t in tensors)
+
+
+def _compute_arrays(tensors, frozen=np.float32) -> list[np.ndarray]:
+    """The operands' arrays in the dtype their op computes in: float64 if the
+    op records a node, and ``frozen`` if it does not.  ``frozen`` is None for
+    an op that only moves values, which keeps each operand's own dtype.  An
+    array already in that dtype comes back as itself, so the taped path
+    copies nothing, and neither does a frozen op on a frozen op's output."""
+    if _records(tensors):
+        frozen = np.float64
+    return [t.data if frozen is None else t.data.astype(frozen, copy=False)
+            for t in tensors]
 
 
 def _axis(axis, ndim: int, op: str) -> int:
@@ -150,11 +172,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add needs operands of one shape, got {a.shape} and {b.shape}")
     a_grad, b_grad = a.requires_grad, b.requires_grad
+    a_data, b_data = _compute_arrays((a, b))
 
     def grad_fn(g):
         return g if a_grad else None, g if b_grad else None
 
-    return _from_op(a.data + b.data, (a, b), grad_fn)
+    return _from_op(a_data + b_data, (a, b), grad_fn)
 
 
 def _check_layer(op: str, d_in: int, w: Tensor, b: Tensor) -> int:
@@ -194,11 +217,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.data.ndim not in (1, 2):
         raise ShapeError(f"linear expects x [d_in] or [rows, d_in], got {x.shape}")
     d_out = _check_layer("linear", x.shape[-1], w, b)
-    x2 = x.data.reshape(-1, x.shape[-1])
+    x_data, w_data, b_data = _compute_arrays((x, w, b))
+    x2 = x_data.reshape(-1, x.shape[-1])
     rows, x_shape = x2.shape[0], x.shape  # reshape(-1, d_out) cannot infer rows if d_out == 0
-    data = _affine(x2, w.data, b.data)
+    data = _affine(x2, w_data, b_data)
     flags = (x.requires_grad, w.requires_grad, b.requires_grad)
-    w_data = w.data if flags[0] else None
+    w_data = w_data if flags[0] else None
     x2 = x2 if flags[1] else None
 
     def grad_fn(g):
@@ -209,20 +233,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0), which keeps NaN; the mask of positive inputs is made only
+    for a backward to read."""
     x = as_tensor(x)
-    mask = x.data > 0
+    (x_data,) = _compute_arrays((x,))
+    mask = x_data > 0 if x.requires_grad else None
 
     def grad_fn(g):
         return (g * mask,)
 
-    return _from_op(np.where(mask, x.data, 0.0), (x,), grad_fn)
+    return _from_op(np.maximum(x_data, 0.0), (x,), grad_fn)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     old = x.shape
     try:
-        data = x.data.reshape(shape)
+        data = _compute_arrays((x,), frozen=None)[0].reshape(shape)
     except (ValueError, TypeError) as exc:
         raise ShapeError(f"cannot reshape {old} to {shape}") from exc
 
@@ -243,7 +270,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     def grad_fn(g):
         return (g.transpose(inverse),)
 
-    return _from_op(x.data.transpose(axes), (x,), grad_fn)
+    return _from_op(_compute_arrays((x,), frozen=None)[0].transpose(axes), (x,), grad_fn)
 
 
 def tmean(x: Tensor, axis: int) -> Tensor:
@@ -257,7 +284,7 @@ def tmean(x: Tensor, axis: int) -> Tensor:
     def grad_fn(g):
         return (np.broadcast_to(np.expand_dims(g, axis) / count, shape).copy(),)
 
-    return _from_op(x.data.mean(axis=axis), (x,), grad_fn)
+    return _from_op(_compute_arrays((x,))[0].mean(axis=axis), (x,), grad_fn)
 
 
 def stack(tensors) -> Tensor:
@@ -268,7 +295,7 @@ def stack(tensors) -> Tensor:
     base = tensors[0].shape
     if any(t.shape != base for t in tensors):
         raise ShapeError("stack needs tensors of identical shape")
-    data = np.stack([t.data for t in tensors])
+    data = np.stack(_compute_arrays(tensors, frozen=None))
 
     def grad_fn(g):
         return tuple(g)
@@ -277,19 +304,22 @@ def stack(tensors) -> Tensor:
 
 
 def _weights_into(q: np.ndarray, k: np.ndarray, out: np.ndarray, row_max: np.ndarray,
-                  row_sum: np.ndarray, rows_known: bool = False) -> np.ndarray:
+                  row_sum: np.ndarray | None, rows_known: bool = False) -> np.ndarray:
     """softmax(q kᵀ) of one scaled [frames_q, d] query and [frames_k, d] key slice,
     written into ``out`` [frames_q, frames_k] with no other array of its size:
     subtract each row's max, exponentiate in place, divide by the row's
     sum.  Each row's max and sum of exponentials go into
     ``row_max`` and ``row_sum`` [frames_q, 1]; with ``rows_known`` they are
     read from there instead, which skips both reductions and gives the same
-    weights bit for bit."""
+    weights bit for bit.  With ``row_sum`` None the rows are left
+    unnormalised, exp(s - rowmax)."""
     np.matmul(q, k.T, out=out)
     if not rows_known:
         out.max(axis=-1, keepdims=True, out=row_max)
     np.subtract(out, row_max, out=out)
     np.exp(out, out=out)
+    if row_sum is None:
+        return out
     if not rows_known:
         out.sum(axis=-1, keepdims=True, out=row_sum)
     out /= row_sum
@@ -297,19 +327,43 @@ def _weights_into(q: np.ndarray, k: np.ndarray, out: np.ndarray, row_max: np.nda
 
 
 def _attention_into(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
-                    row_max: np.ndarray, row_sum: np.ndarray) -> None:
+                    row_max: np.ndarray | None = None,
+                    row_sum: np.ndarray | None = None) -> None:
     """softmax(q kᵀ / sqrt(d)) v of each head (Vaswani et al. 2017, arXiv
     1706.03762) into ``out`` [heads, frames_q, d_v], from ``q`` [heads,
     frames_q, d], ``k`` [heads, frames_k, d] and ``v`` [heads, frames_k,
     d_v].  ``q`` is scaled in place.  Each head's weights go into one
-    reused [frames_q, frames_k] buffer, and each row's softmax max and sum
-    into ``row_max`` and ``row_sum`` [heads, frames_q, 1].  That buffer takes
-    ``q``'s dtype, so a frozen forward runs in float32 throughout."""
+    reused [frames_q, frames_k] buffer of ``q``'s dtype.
+
+    A taped forward passes ``row_max`` and ``row_sum`` [heads, frames_q, 1]
+    for its backward: each row's softmax max and sum go there, and the
+    weights are normalised before the value product, by the float
+    operations ``_attention_grads`` repeats.  A forward that records no node
+    passes neither, and computes in float32 (the module docstring's rule):
+    it normalises after the value product, the deferred normalisation of
+    FlashAttention (Dao et al. 2022, arXiv 2205.14135).  Each head's
+    exp(s - rowmax) multiplies [v | 1], and the output is that product
+    divided by its last column, the row sums; so no pass sums or divides
+    the [frames_q, frames_k] weights.  On one [498, 32] float32 head that
+    takes 0.81 ms against 0.91 ms normalising first (best of 40 × 50, one
+    BLAS thread); over a whole frozen encoder each state stays within
+    8.9e-7 of the float64 forward's largest magnitude (module docstring)."""
     q *= 1.0 / math.sqrt(q.shape[-1])
     p = np.empty((q.shape[-2], k.shape[-2]), dtype=q.dtype)
+    if row_max is not None:
+        for i in range(len(q)):
+            _weights_into(q[i], k[i], p, row_max[i], row_sum[i])
+            np.matmul(p, v[i], out=out[i])
+        return
+    d_v = v.shape[-1]
+    row_max = np.empty((q.shape[-2], 1), dtype=q.dtype)
+    v_one = np.ones(v.shape[-2:-1] + (d_v + 1,), dtype=v.dtype)
+    p_v_one = np.empty((q.shape[-2], d_v + 1), dtype=q.dtype)
     for i in range(len(q)):
-        _weights_into(q[i], k[i], p, row_max[i], row_sum[i])
-        np.matmul(p, v[i], out=out[i])
+        _weights_into(q[i], k[i], p, row_max, None)
+        v_one[:, :d_v] = v[i]
+        np.matmul(p, v_one, out=p_v_one)
+        np.divide(p_v_one[:, :d_v], p_v_one[:, d_v:], out=out[i])
 
 
 def _attention_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, out, g: np.ndarray,
@@ -376,15 +430,15 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     gradients over the recomputed q and v head by head.  Its parents are
     (x, wq, bq, x, wk, bk, x, wv, bv, wo, bo), so x's three projection
     gradients are summed in the order q, k, v.  When no operand requires
-    grad, it records no node and computes in float32 (see the module
-    docstring for the bound).
+    grad, it records no node, computes in float32 and normalises each
+    head's weights after the value product (``_attention_into``).
     """
     x, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv,
                                                                  wo, bo))
     if x.data.ndim != 2:
         raise ShapeError(f"attention expects x [frames, dim], got {x.shape}")
     frames, dim = x.shape
-    if not isinstance(num_heads, (int, np.integer)) or num_heads < 1:
+    if not is_whole(num_heads) or num_heads < 1:
         raise HeadMismatch(f"attention needs a positive whole number of heads, got {num_heads!r}")
     if dim % num_heads != 0:
         raise HeadMismatch(f"model dim {dim} is not divisible by {num_heads} heads")
@@ -399,10 +453,13 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     def split(a):  # [frames, dim] -> [heads, frames, head_dim] view
         return a.reshape(frames, num_heads, dim // num_heads).transpose(1, 0, 2)
 
-    x2, *proj, wo_data, bo_data = _compute_arrays((x, wq, bq, wk, bk, wv, bv, wo, bo))
+    operands = (x, wq, bq, wk, bk, wv, bv, wo, bo)
+    x2, *proj, wo_data, bo_data = _compute_arrays(operands)
     proj = list(zip(proj[::2], proj[1::2]))
     merged = np.empty((frames, dim), dtype=x2.dtype)
-    row_max, row_sum = (np.empty((num_heads, frames, 1), dtype=x2.dtype) for _ in range(2))
+    row_max = row_sum = None
+    if _records(operands):
+        row_max, row_sum = (np.empty((num_heads, frames, 1)) for _ in range(2))
     _attention_into(*(split(_affine(x2, w, b)) for w, b in proj), split(merged),
                     row_max, row_sum)
     data = _affine(merged, wo_data, bo_data)
@@ -431,40 +488,38 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     return _from_op(data, (x, wq, bq, x, wk, bk, x, wv, bv, wo, bo), grad_fn)
 
 
-def _relu_affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray):
+def _relu_affine(x2: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """relu(x2 @ w + b) by the float operations of ``linear`` and ``relu``,
-    with the ReLU applied in place, and its mask."""
+    with the ReLU applied in place."""
     h = _affine(x2, w, b)
-    mask = h > 0
-    np.copyto(h, 0.0, where=~mask)     # relu's np.where(mask, h, 0.0)
-    return h, mask
+    return np.maximum(h, 0.0, out=h)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """The position-wise two-layer network relu(x @ w1 + b1) @ w2 + b2 as one
     tape op, for ``x`` [rows, d_in], ``w1`` [d_in, hidden] and ``w2``
     [hidden, d_out].  The node keeps only ``x`` (and the weights it reads);
-    its backward recomputes the hidden layer and its ReLU mask by the
-    forward's float operations.  When no operand requires grad, it records
-    no node and computes in float32 (see the module docstring for the
-    bound)."""
+    its backward recomputes the hidden layer by the forward's float
+    operations, and makes the ReLU mask from it.  As ``relu``, the hidden
+    ReLU keeps NaN."""
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     if x.data.ndim != 2:
         raise ShapeError(f"feed_forward expects x [rows, d_in], got {x.shape}")
     hidden = _check_layer("feed_forward", x.shape[1], w1, b1)
     _check_layer("feed_forward", hidden, w2, b2)
     x2, w1_data, b1_data, w2_data, b2_data = _compute_arrays((x, w1, b1, w2, b2))
-    data = _affine(_relu_affine(x2, w1_data, b1_data)[0], w2_data, b2_data)
+    data = _affine(_relu_affine(x2, w1_data, b1_data), w2_data, b2_data)
     flags = (x.requires_grad, w1.requires_grad, b1.requires_grad)
     out_flags = (any(flags), w2.requires_grad, b2.requires_grad)
     w2_data = w2_data if out_flags[0] else None
     x2 = x2 if out_flags[0] or out_flags[1] else None
 
     def grad_fn(g):
-        h, mask = (None, None) if x2 is None else _relu_affine(x2, w1_data, b1_data)
+        h = None if x2 is None else _relu_affine(x2, w1_data, b1_data)
         gh, gw2, gb2 = _linear_grads(g, h, w2_data, out_flags)
         if gh is None:
             return None, None, None, gw2, gb2
+        mask = h > 0
         del h
         gh *= mask
         return (*_linear_grads(gh, x2, w1_data, flags), gw2, gb2)
@@ -488,7 +543,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
         raise ShapeError(f"conv1d channel mismatch: input has {c_in}, weights expect {w_cin}")
     if length < window:
         raise InputTooShort(f"conv1d input length {length} < window {window}")
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
+    if not is_whole(stride) or stride < 1:
         raise ShapeError(f"conv1d stride must be an integer of at least 1, got {stride!r}")
     if b.shape != (c_out,):
         raise ShapeError(f"conv1d bias must have shape ({c_out},), got {b.shape}")
@@ -497,11 +552,12 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
     # [c_in, window, out_length] view, no copy; reshaping it to the
     # [c_in*window, out_length] column matrix copies, so the closure keeps
     # only the view and rebuilds the columns when it needs them
+    x_data, w_data, b_data = _compute_arrays((x, w, b))
     windows = np.lib.stride_tricks.sliding_window_view(
-        x.data, window, axis=1)[:, ::stride, :].transpose(0, 2, 1)
-    w2 = w.data.reshape(c_out, c_in * window)
+        x_data, window, axis=1)[:, ::stride, :].transpose(0, 2, 1)
+    w2 = w_data.reshape(c_out, c_in * window)
     data = w2 @ windows.reshape(c_in * window, out_length)
-    data += b.data[:, None]
+    data += b_data[:, None]
     x_shape, w_shape = x.shape, w.shape
     b_grad = b.requires_grad
     w2 = w2 if x.requires_grad else None
@@ -543,15 +599,15 @@ def layer_norm_residual(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Ten
     d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer norm affine params must have shape ({d},)")
-    xhat = x.data + y.data
+    x_data, y_data, gain_data, bias_data = _compute_arrays((x, y, gain, bias))
+    xhat = x_data + y_data
     xhat -= xhat.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv_std
-    data = gain.data * xhat
-    data += bias.data
+    data = gain_data * xhat
+    data += bias_data
     x_grad, y_grad = x.requires_grad, y.requires_grad
     gain_grad, bias_grad = gain.requires_grad, bias.requires_grad
-    gain_data = gain.data
 
     def grad_fn(g):
         ggain = (g * xhat).sum(axis=0) if gain_grad else None
@@ -575,7 +631,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     class ids; any other labels, ragged lists too, raise LabelError.
     """
     logits = as_tensor(logits)
-    z = logits.data
+    (z,) = _compute_arrays((logits,), frozen=np.float64)
     if z.ndim != 2:
         raise ShapeError(f"logits must be [batch, classes], got {logits.shape}")
     try:

@@ -8,6 +8,10 @@ never a bare numpy or Python exception, and never a warning.  Then the
 calls that a boundary must reject are pinned to the error it names.
 (``load_wav``'s samples come from a file; test_reader_properties.py
 corrupts those.)
+
+A size, count or stride argument must be an integer, Python's or numpy's,
+and not a bool: a float, a string or a bool raises the boundary's named
+error, never a bare TypeError, and True is not taken as 1.
 """
 
 import warnings
@@ -21,9 +25,10 @@ from aftx.audio import Spectrogram, Waveform, log_mel, write_wav
 from aftx.augment import augment_corpus
 from aftx.container import entries_digest, save_container
 from aftx.corpus import FIVE_POINT, JudgeScores, binarize_majority, summarize_continuous
-from aftx.errors import AftxError, NonFinite, NotReal, ShapeError
+from aftx.errors import AftxError, HeadMismatch, NonFinite, NotReal, ShapeError
+from aftx.layers import positional_encoding
 from aftx.metrics import ConfusionMatrix, pearson
-from aftx.tensor import Tensor
+from aftx.tensor import Tensor, conv1d, multi_head_attention
 
 # name -> (the rank of the array the boundary takes, or None for any rank;
 # the call given that argument ``a``, a valid array ``v`` for any other
@@ -123,3 +128,34 @@ NAMED = [
 def test_malformed_array_raises_named_error(scratch, error, name, bad, other):
     with pytest.raises(error):
         BOUNDARIES[name][1](bad, other, scratch)
+
+
+def _attention(heads):
+    eye, zero = Tensor(np.eye(4)), Tensor(np.zeros(4))
+    return multi_head_attention(Tensor(np.ones((3, 4))), heads, *[eye, zero] * 4)
+
+
+# (error, what the size argument is, the call): each call raised a bare
+# TypeError, another named error, or took True as 1
+SIZES = [
+    (ShapeError, "positional_encoding-float-dim", lambda: positional_encoding(3, 4.0)),
+    (ShapeError, "positional_encoding-bool-frames", lambda: positional_encoding(True, 4)),
+    (ShapeError, "positional_encoding-str-frames", lambda: positional_encoding("3", 4)),
+    (ShapeError, "positional_encoding-bool-dim", lambda: positional_encoding(3, True)),
+    (ShapeError, "conv1d-bool-stride",
+     lambda: conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)),
+                    stride=True)),
+    (HeadMismatch, "multi_head_attention-bool-heads", lambda: _attention(True)),
+]
+
+
+@pytest.mark.parametrize("error, call", [(e, c) for e, _, c in SIZES],
+                         ids=[name for _, name, _ in SIZES])
+def test_size_that_is_not_a_whole_number_raises_named_error(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_numpy_integer_sizes_are_taken():
+    assert positional_encoding(np.int64(3), np.int32(4)).shape == (3, 4)
+    assert _attention(np.int64(2)).shape == (3, 4)

@@ -45,6 +45,17 @@ from scalar_loss import project
 
 LN2 = 0.6931471805599453
 
+# A forward whose operands all have requires_grad False runs in float32
+# and keeps each hand case's own tolerance, or the module's bound; with x
+# requiring grad it runs in float64 and is held to TAPED_TOL.
+FROZEN_OR_TAPED = pytest.mark.parametrize("taped", [False, True], ids=["frozen", "taped"])
+TAPED_TOL = {"atol": 1e-12, "rtol": 0}
+FROZEN_BOUND = 1e-5     # of the largest magnitude (tensor.py's module docstring)
+
+
+def _assert_within_frozen_bound(got, expected):
+    assert np.abs(got - expected).max() <= FROZEN_BOUND * np.abs(expected).max()
+
 
 class TestTensorData:
     @pytest.mark.parametrize("data", [np.array([1 + 2j, 3.0]), 1j, "1.5", ["a", "b"],
@@ -132,16 +143,20 @@ class TestConv1d:
         b = Tensor(np.zeros(5))
         assert np.all(conv1d(x, w, b, stride=2).data == 0.0)
 
-    def test_matches_direct_window_sums(self):
+    @FROZEN_OR_TAPED
+    def test_matches_direct_window_sums(self, taped):
         # oracle: explicit loop over output frames and taps
         rng = np.random.default_rng(3)
         x, w, b = rng.standard_normal((2, 12)), rng.standard_normal((3, 2, 3)), rng.standard_normal(3)
-        out = conv1d(Tensor(x), Tensor(w), Tensor(b), stride=2).data
+        out = conv1d(Tensor(x, requires_grad=taped), Tensor(w), Tensor(b), stride=2).data
         expected = np.zeros((3, 5))
         for o in range(3):
             for j in range(5):
                 expected[o, j] = (w[o] * x[:, 2 * j:2 * j + 3]).sum() + b[o]
-        np.testing.assert_allclose(out, expected, rtol=1e-12)
+        if taped:
+            np.testing.assert_allclose(out, expected, rtol=1e-12)
+        else:
+            _assert_within_frozen_bound(out, expected)
 
     def test_too_short(self):
         with pytest.raises(InputTooShort):
@@ -189,12 +204,6 @@ def _identity_mha_params(dim):
                 wv=eye(), bv=zero(), wo=eye(), bo=zero())
 
 
-# A forward whose operands all have requires_grad False runs in float32
-# and keeps each hand case's own tolerance; with x requiring grad it runs
-# in float64 and is held to TAPED_TOL.
-FROZEN_OR_TAPED = pytest.mark.parametrize("taped", [False, True], ids=["frozen", "taped"])
-TAPED_TOL = {"atol": 1e-12, "rtol": 0}
-
 # Encoder shapes: 499 frames of width 128, 4 heads, a 256-wide feed-forward.
 MHA_SHAPES = [(128, 128), (128,)] * 4
 FFN_SHAPES = [(128, 256), (256,), (256, 128), (128,)]
@@ -222,8 +231,9 @@ def _assert_frozen_agrees_with_taped(op, shapes, seed):
     arrays = _encoder_arrays(seed, shapes)
     frozen = _call(op, arrays, [False] * len(arrays))
     taped = _call(op, arrays, [True] + [False] * len(shapes))
-    assert frozen.data.dtype == np.float64 and frozen._node is None
-    assert np.abs(frozen.data - taped.data).max() <= 1e-5 * np.abs(taped.data).max()
+    assert frozen.data.dtype == np.float32 and frozen._node is None
+    assert taped.data.dtype == np.float64
+    _assert_within_frozen_bound(frozen.data, taped.data)
 
 
 def _assert_one_grad_operand_gives_the_taped_output(op, shapes, operand):
@@ -296,6 +306,16 @@ class TestAttention:
             weights /= weights.sum(axis=-1, keepdims=True)
             chain = np.matmul(weights, v)
             assert np.array_equal(_attend(q, k, v), chain)
+
+    def test_normalised_after_the_value_product_without_row_statistics(self):
+        """With no row statistics to keep, as in a forward that records no
+        node, the helper divides exp(s - rowmax) [v | 1] by its last column:
+        the chain's value, summed in another order."""
+        for seed in range(5):
+            q, k, v = self.operands(seed)
+            out = np.empty(q.shape[:-1] + v.shape[-1:])
+            _attention_into(q.copy(), k, v, out)
+            np.testing.assert_allclose(out, _attend(q, k, v), rtol=1e-12, atol=1e-14)
 
     def test_equals_batched_formulas_in_value_and_layout(self):
         """Head by head, the helpers compute what one batched product over
@@ -393,11 +413,13 @@ def _zeros_like(x):
 
 
 class TestLayerNorm:
-    def test_unit_gain_zero_bias_moments(self):
+    @FROZEN_OR_TAPED
+    def test_unit_gain_zero_bias_moments(self, taped):
         rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((5, 16)))
+        x = Tensor(rng.standard_normal((5, 16)), requires_grad=taped)
         out = layer_norm_residual(x, _zeros_like(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
-        assert np.max(np.abs(out.mean(axis=-1))) < 1e-9
+        # the output's largest magnitude is about 2
+        assert np.max(np.abs(out.mean(axis=-1))) < (1e-9 if taped else FROZEN_BOUND)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-4)
 
     def test_constant_frame_maps_to_zero(self):
@@ -652,6 +674,95 @@ class TestNumericalHygiene:
         assert np.isfinite(loss.item())
         backward(loss)
         assert np.all(np.isfinite(logits.grad))
+
+
+class TestNonFinitePropagates:
+    """A ReLU keeps NaN, so a non-finite input reaches the next boundary
+    that checks for it (here the loss) and fails there, instead of turning
+    into a finite 0."""
+
+    @FROZEN_OR_TAPED
+    def test_relu_keeps_nan(self, taped):
+        out = relu(Tensor([np.nan, -1.0, 2.0], requires_grad=taped))
+        assert np.isnan(out.data[0]) and out.data[1:].tolist() == [0.0, 2.0]
+        with pytest.raises(NonFinite):
+            softmax_cross_entropy(reshape(out, (1, 3)), [0])
+
+    @FROZEN_OR_TAPED
+    def test_feed_forward_keeps_nan(self, taped):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((3, 4))
+        x[1, 2] = np.nan
+        w1, b1, w2, b2 = (Tensor(rng.standard_normal(s)) for s in ((4, 6), (6,), (6, 2), (2,)))
+        out = feed_forward(Tensor(x, requires_grad=taped), w1, b1, w2, b2)
+        assert np.isnan(out.data[1]).all() and np.isfinite(out.data[[0, 2]]).all()
+        with pytest.raises(NonFinite):
+            softmax_cross_entropy(out, [0, 1, 0])
+
+
+def _encoder_weights(rng, mel_bins=80, dim=128, ffn=256, window=3, layers=2):
+    """Glorot-scaled weights of a front-end conv and ``layers`` post-norm
+    layers, with small random biases and gains near 1."""
+    def glorot(*shape):
+        fan = shape[0] + shape[-1] if len(shape) == 2 else shape[1] * shape[2] + shape[0]
+        return Tensor(rng.standard_normal(shape) * math.sqrt(2.0 / fan))
+
+    def small(n, around=0.0):
+        return Tensor(around + 0.1 * rng.standard_normal(n))
+
+    conv = (glorot(dim, mel_bins, window), small(dim))
+    stack = []
+    for _ in range(layers):
+        attn = [glorot(dim, dim) if i % 2 == 0 else small(dim) for i in range(8)]
+        ff = [glorot(dim, ffn), small(ffn), glorot(ffn, dim), small(dim)]
+        norms = [small(dim, 1.0), small(dim), small(dim, 1.0), small(dim)]
+        stack.append((attn, ff, norms))
+    return conv, stack
+
+
+def _encoder_stack(mel, conv, stack, pe):
+    """The states [frames, dim] of the front end and of each layer, and
+    their frame means, for a log-mel Tensor [mel_bins, frames]."""
+    h = add(transpose(relu(conv1d(mel, *conv, stride=2)), (1, 0)), pe)
+    states = [h]
+    for attn, ff, norms in stack:
+        h = layer_norm_residual(h, multi_head_attention(h, 4, *attn), *norms[:2])
+        h = layer_norm_residual(h, feed_forward(h, *ff), *norms[2:])
+        states.append(h)
+    return states, [tmean(s, 0) for s in states]
+
+
+class TestFrozenEncoder:
+    """A whole frozen encoder, from the conv front end to the last layer
+    norm and the pooled stack, stays in float32 and agrees with its taped
+    float64 forward within the module's bound, layer by layer."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_frozen_stack_agrees_with_taped(self, seed):
+        rng = np.random.default_rng([seed, 15])
+        conv, stack = _encoder_weights(rng)
+        mel = rng.standard_normal((80, 998)) * 3.0 - 2.0   # a clip's log-mel scale
+        pe = positional_encoding(498, 128)
+        frozen = _encoder_stack(Tensor(mel), conv, stack, pe)
+        taped = _encoder_stack(Tensor(mel, requires_grad=True), conv, stack, pe)
+        for got_list, want_list in zip(frozen, taped):
+            assert len(got_list) == 3
+            for got, want in zip(got_list, want_list):
+                assert got.data.dtype == np.float32 and got._node is None
+                assert want.data.dtype == np.float64 and want._node is not None
+                _assert_within_frozen_bound(got.data, want.data)
+
+    def test_frozen_tensor_into_taped_linear_is_promoted(self):
+        rng = np.random.default_rng(16)
+        x = relu(Tensor(rng.standard_normal((5, 4))))
+        assert x.data.dtype == np.float32
+        w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((4, 3), (3,)))
+        out = linear(x, w, b)
+        assert out.data.dtype == np.float64
+        r = rng.standard_normal((5, 3))
+        backward(project(out, r))
+        assert w.grad.dtype == np.float64 and b.grad.dtype == np.float64
+        assert np.array_equal(w.grad, x.data.astype(np.float64).T @ r)
 
 
 def _leaf(rng, *shape):
