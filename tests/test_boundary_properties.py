@@ -135,8 +135,9 @@ def _attention(heads):
     return multi_head_attention(Tensor(np.ones((3, 4))), heads, *[eye, zero] * 4)
 
 
-# (error, what the size argument is, the call): each call raised a bare
-# TypeError, another named error, or took True as 1
+# (error, what the size argument is, the call): before the boundary checked
+# its sizes, each call raised a bare TypeError or another named error, or
+# took True as 1
 SIZES = [
     (ShapeError, "positional_encoding-float-dim", lambda: positional_encoding(3, 4.0)),
     (ShapeError, "positional_encoding-bool-frames", lambda: positional_encoding(True, 4)),
