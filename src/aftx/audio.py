@@ -5,9 +5,9 @@ and unsupported codecs raise distinct, precise errors.  Supported payloads:
 16-bit PCM and 32/64-bit IEEE float, mono or stereo.  Everything is
 resampled to the canonical 16 kHz by linear interpolation and peak-limited
 to [-1, 1].  A sample rate below 8 kHz, which would make resampling
-multiply the sample count by more than two, a data chunk that ends inside
-a sample or frame, and a float payload with NaN or infinite samples are
-rejected.
+multiply the sample count by more than two, a second fmt or data chunk, a
+data chunk that ends inside a sample or frame, and a float payload with NaN
+or infinite samples are rejected.
 
 The front end is the paper's one configuration, so each of its sizes is a
 constant: ``SAMPLE_RATE`` = 16 kHz audio, frames of ``FRAME_LENGTH`` = 400
@@ -113,25 +113,24 @@ def load_wav(path) -> Waveform:
     if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise FormatError(f"{path}: not a RIFF/WAVE file")
 
-    fmt_info = None
-    data = None
+    chunks: dict[bytes, memoryview] = {}     # the fmt and data chunks' bodies
     pos = 12
     while pos + 8 <= len(blob):
-        cid = blob[pos:pos + 4]
+        cid = bytes(blob[pos:pos + 4])
         (size,) = struct.unpack("<I", blob[pos + 4:pos + 8])
         if pos + 8 + size > len(blob):
-            raise FormatError(f"{path}: {bytes(cid)!r} chunk declares {size} bytes, "
+            raise FormatError(f"{path}: {cid!r} chunk declares {size} bytes, "
                               f"{len(blob) - pos - 8} remain")
-        body = blob[pos + 8:pos + 8 + size]
-        if cid == b"fmt ":
-            fmt_info = _parse_fmt(body)
-        elif cid == b"data":
-            data = body
+        if cid in (b"fmt ", b"data"):
+            if cid in chunks:
+                raise FormatError(f"{path}: a second {cid!r} chunk")
+            chunks[cid] = blob[pos + 8:pos + 8 + size]
         pos += 8 + size + (size & 1)  # chunks are word-aligned
-    if fmt_info is None or data is None:
+    if len(chunks) < 2:
         raise FormatError(f"{path}: missing fmt or data chunk")
 
-    fmt, channels, rate, bits = fmt_info
+    fmt, channels, rate, bits = _parse_fmt(chunks[b"fmt "])
+    data = chunks[b"data"]
     if channels < 1:
         raise FormatError(f"{path}: fmt declares no channels")
     if rate < 8_000:

@@ -3,8 +3,10 @@
 Layout: the 5-byte magic, a little-endian uint32 manifest length, a UTF-8
 JSON manifest listing ``(name, shape, trainable, offset)`` per entry, then the
 concatenated little-endian float64 payloads (offsets are relative to the
-payload start).  Round-trips are bit-exact.  Each payload is written from its
-own array and read once, straight into the array that is returned.
+payload start; the reader takes them in any order and with gaps, but
+rejects two payloads that overlap).  Round-trips are bit-exact.  Each
+payload is written from its own array and read once, straight into the
+array that is returned.
 
 An optional JSON sidecar at ``<path>.json`` carries provenance (model config,
 seed, ``entries_digest``, ...); it is plain JSON, read with ``json``.
@@ -84,6 +86,7 @@ def load_container(path) -> list[Entry]:
         start = 9 + mlen
         entries: list[Entry] = []
         names: set[str] = set()
+        spans: list[tuple[int, int, str]] = []   # non-empty payload byte ranges
         for item in manifest:
             try:
                 name, shape = item["name"], tuple(item["shape"])
@@ -107,6 +110,13 @@ def load_container(path) -> list[Entry]:
             if fh.readinto(arr) != arr.nbytes:
                 raise FormatError(f"{path}: payload of entry {name!r} ends early")
             entries.append((name, arr.reshape(shape), trainable))
+            if count:
+                spans.append((offset, offset + 8 * count, name))
+    # in order of start, a range meets an earlier one only if it meets the one before it
+    spans.sort()
+    for (_, end, last), (start, _, name) in zip(spans, spans[1:]):
+        if start < end:
+            raise FormatError(f"{path}: payloads of entries {last!r} and {name!r} overlap")
     return entries
 
 

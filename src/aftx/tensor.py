@@ -22,16 +22,20 @@ The engine is a plain tape.  Every operation that involves a tensor with
 ``requires_grad`` gives its output a node: the tape entries of its parents
 and a closure, ``grad_fn``, that maps the output gradient to parent
 gradients.  A ``grad_fn`` returns ``None`` for a parent that does not
-require grad, and skips computing that gradient.
+require grad.  A composite op (``multi_head_attention``, ``feed_forward``,
+``layer_norm_residual``) computes its inner gradients whole, whichever of
+its operands require grad, and skips only the per-parent products: the
+input, weight and bias products of each linear map, and layer norm's gain and
+bias sums.
 
 A closure captures arrays and flags, never a Tensor, and what it saves is
-fixed when the op is recorded: only the arrays its backward reads for the
-parents that require grad (``linear`` keeps ``w`` only when ``x`` requires
-grad, ``relu`` keeps only its mask).  So an intermediate Tensor that the
-forward code drops frees its data unless a backward reads it.  A layer's
-bias and its residual sum are folded into the op that makes them
-(``linear``, ``layer_norm_residual``), so no pre-bias product or residual
-sum is made to be kept.  Each encoder sublayer is one op
+fixed when the op is recorded: only the arrays its backward reads
+(``linear`` keeps ``w`` only when ``x`` requires grad, ``relu`` keeps only
+its mask).  So an intermediate Tensor that the forward code drops frees
+its data unless a backward reads it.  A layer's bias and its residual sum
+are folded into the op that makes them (``linear``,
+``layer_norm_residual``), so no pre-bias product or residual sum is made
+to be kept.  Each encoder sublayer is one op
 (``multi_head_attention``, ``feed_forward``) that keeps its input and
 recomputes its inner activations in the backward, by the same float
 operations as the forward, so they equal the forward's bit for bit:
@@ -367,16 +371,14 @@ def _attention_into(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray
 
 
 def _attention_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, out, g: np.ndarray,
-                     row_max: np.ndarray, row_sum: np.ndarray, need):
-    """The backward of ``_attention_into`` for the output gradient ``g``, for
-    the gradients that ``need`` (three flags, for q, k and v) asks for.  It
-    writes q's and v's gradients over ``q`` and ``v``, scales ``q`` in place
-    whichever it asks for, and returns k's gradient (or None) as a [heads,
-    frames_k, d] view of a [heads, d, frames_k] array, the layout of the
-    qᵀ gs products it is made of.  Merged over heads it is a column-major
-    [frames_k, heads * d] view, and a reduction over it (such as a key bias
-    gradient) sums in that order, the order of the batched formula.
-    ``out`` is the forward's output, read only for q's and k's gradients.
+                     row_max: np.ndarray, row_sum: np.ndarray):
+    """The backward of ``_attention_into`` for the output gradient ``g``.  It
+    writes q's and v's gradients over ``q`` and ``v``, and returns k's
+    gradient as a [heads, frames_k, d] view of a [heads, d, frames_k] array,
+    the layout of the qᵀ gs products it is made of.  Merged over heads it is
+    a column-major [frames_k, heads * d] view, and a reduction over it (such
+    as a key bias gradient) sums in that order, the order of the batched
+    formula.  ``out`` is the forward's output.
 
     Each head's weights are recomputed from ``row_max`` and ``row_sum`` by
     the forward's float operations, so they equal the forward's bit for
@@ -385,33 +387,26 @@ def _attention_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, out, g: np.nda
     al. 2022), is computed through one [frames_q, d_v] buffer.  Each head
     overwrites its slice of v once its score gradient has read it, and of
     q once k's gradient has read the scaled queries."""
-    need_q, need_k, need_v = need
     scale = 1.0 / math.sqrt(q.shape[-1])
     q *= scale
-    if need_q or need_k:
-        dots, prod = np.empty(row_sum.shape), np.empty(out.shape[-2:])
-        for i in range(len(q)):
-            np.multiply(g[i], out[i], out=prod)
-            prod.sum(axis=-1, keepdims=True, out=dots[i])
-        del prod
-        gs = np.empty((q.shape[-2], k.shape[-2]))
-    gk = np.empty((len(q), q.shape[-1], k.shape[-2])) if need_k else None
+    dots, prod = np.empty(row_sum.shape), np.empty(out.shape[-2:])
+    for i in range(len(q)):
+        np.multiply(g[i], out[i], out=prod)
+        prod.sum(axis=-1, keepdims=True, out=dots[i])
+    del prod
+    gs = np.empty((q.shape[-2], k.shape[-2]))
+    gk = np.empty((len(q), q.shape[-1], k.shape[-2]))
     p = np.empty((q.shape[-2], k.shape[-2]))
     for i in range(len(q)):
         _weights_into(q[i], k[i], p, row_max[i], row_sum[i], rows_known=True)
-        if need_q or need_k:
-            np.matmul(g[i], v[i].T, out=gs)
-            gs -= dots[i]
-            gs *= p
-        if need_v:
-            np.matmul(p.T, g[i], out=v[i])
-        if need_k:
-            np.matmul(q[i].T, gs, out=gk[i])
-        if need_q:
-            np.matmul(gs, k[i], out=q[i])
-    if need_q:
-        q *= scale
-    return None if gk is None else np.swapaxes(gk, -1, -2)
+        np.matmul(g[i], v[i].T, out=gs)
+        gs -= dots[i]
+        gs *= p
+        np.matmul(p.T, g[i], out=v[i])
+        np.matmul(q[i].T, gs, out=gk[i])
+        np.matmul(gs, k[i], out=q[i])
+    q *= scale
+    return np.swapaxes(gk, -1, -2)
 
 
 def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: Tensor,
@@ -465,25 +460,17 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     data = _affine(merged, wo_data, bo_data)
 
     flags = [(x.requires_grad, w.requires_grad, b.requires_grad) for w, b in projections]
-    need = [any(f) for f in flags]
-    out_flags = (any(need), wo.requires_grad, bo.requires_grad)
-    wo_data = wo_data if out_flags[0] else None
-    x2 = x2 if out_flags[0] else None
-    merged = merged if out_flags[1] or need[0] or need[1] else None
+    out_flags = (False, wo.requires_grad, bo.requires_grad)
 
     def grad_fn(g):
-        grads = [None] * 9
-        if x2 is not None:
-            projected = [_affine(x2, w, b) for w, b in proj]
-            gk = _attention_grads(*(split(a) for a in projected),
-                                  None if merged is None else split(merged),
-                                  split(g @ wo_data.T), row_max, row_sum, need)
-            if gk is not None:   # a [frames, dim] view, not a C-ordered copy
-                projected[1] = gk.transpose(1, 0, 2).reshape(frames, dim)
-            grads = [grad for gp, (w, _), f in zip(projected, proj, flags)
-                     for grad in _linear_grads(gp, x2, w, f)]
+        projected = [_affine(x2, w, b) for w, b in proj]
+        gk = _attention_grads(*(split(a) for a in projected), split(merged),
+                              split(g @ wo_data.T), row_max, row_sum)
+        projected[1] = gk.transpose(1, 0, 2).reshape(frames, dim)  # a view, not a copy
+        grads = [grad for gp, (w, _), f in zip(projected, proj, flags)
+                 for grad in _linear_grads(gp, x2, w, f)]
         # wo's and bo's gradients last: none is held through the attention backward
-        return (*grads, *_linear_grads(g, merged, None, (False, *out_flags[1:]))[1:])
+        return (*grads, *_linear_grads(g, merged, None, out_flags)[1:])
 
     return _from_op(data, (x, wq, bq, x, wk, bk, x, wv, bv, wo, bo), grad_fn)
 
@@ -510,15 +497,11 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     x2, w1_data, b1_data, w2_data, b2_data = _compute_arrays((x, w1, b1, w2, b2))
     data = _affine(_relu_affine(x2, w1_data, b1_data), w2_data, b2_data)
     flags = (x.requires_grad, w1.requires_grad, b1.requires_grad)
-    out_flags = (any(flags), w2.requires_grad, b2.requires_grad)
-    w2_data = w2_data if out_flags[0] else None
-    x2 = x2 if out_flags[0] or out_flags[1] else None
+    out_flags = (True, w2.requires_grad, b2.requires_grad)
 
     def grad_fn(g):
-        h = None if x2 is None else _relu_affine(x2, w1_data, b1_data)
+        h = _relu_affine(x2, w1_data, b1_data)
         gh, gw2, gb2 = _linear_grads(g, h, w2_data, out_flags)
-        if gh is None:
-            return None, None, None, gw2, gb2
         mask = h > 0
         del h
         gh *= mask
@@ -612,12 +595,10 @@ def layer_norm_residual(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Ten
     def grad_fn(g):
         ggain = (g * xhat).sum(axis=0) if gain_grad else None
         gbias = g.sum(axis=0) if bias_grad else None
-        gx = None
-        if x_grad or y_grad:
-            gxhat = g * gain_data
-            gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
-            gx -= xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-            gx *= inv_std
+        gxhat = g * gain_data
+        gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
+        gx -= xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+        gx *= inv_std
         return (gx if x_grad else None, gx if y_grad else None, ggain, gbias)
 
     return _from_op(data, (x, y, gain, bias), grad_fn)

@@ -22,7 +22,7 @@ from aftx.errors import (
     ShapeError,
     UnsupportedCodec,
 )
-from wavfiles import declared_rates, pcm16_wav_bytes, wav_bytes
+from wavfiles import declared_rates, fmt_body, pcm16_wav_bytes, riff_bytes, wav_bytes
 
 # samples that are not real numbers, each long enough for one log-mel frame
 NOT_REAL = {
@@ -138,6 +138,18 @@ class TestLoadWav:
         write_wav(path, Waveform(samples=np.zeros(1000)))
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError, match=r"b'data' chunk declares 2000 bytes, 1990 remain"):
+            load_wav(path)
+
+    @pytest.mark.parametrize("cid, body", [
+        (b"data", np.array([-5, -6], "<i2").tobytes()),      # would replace the first
+        (b"fmt ", fmt_body(1, 2, 16_000, 16)),               # would re-read it as stereo
+    ], ids=["data", "fmt"])
+    def test_repeated_chunk_rejected(self, tmp_path, cid, body):
+        path = tmp_path / "twice.wav"
+        path.write_bytes(riff_bytes(
+            (b"fmt ", fmt_body(1, 1, 16_000, 16)),
+            (b"data", np.array([1000, 2000, 3000, 4000], "<i2").tobytes()), (cid, body)))
+        with pytest.raises(FormatError, match=f"a second {cid!r} chunk"):
             load_wav(path)
 
     def test_ten_second_clip_peaks_under_2_mib(self, tmp_path):

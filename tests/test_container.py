@@ -129,6 +129,16 @@ def test_entries_read_at_offsets_and_writable(tmp_path):
     assert a.flags.writeable and b.flags.writeable
 
 
+def test_overlapping_payloads_rejected(tmp_path):
+    """b's 16 bytes at offset 8 lie inside a's 24; read, b would be [1.0, 2.0]."""
+    path = tmp_path / "overlap.aftx"
+    _with_manifest(path, [{"name": "a", "shape": [3], "offset": 0, "trainable": True},
+                          {"name": "b", "shape": [2], "offset": 8, "trainable": True}],
+                   np.arange(5.0).tobytes())
+    with pytest.raises(FormatError, match="entries 'a' and 'b' overlap"):
+        load_container(path)
+
+
 @pytest.mark.parametrize("entries", [
     [(1, np.zeros(2), True)],
     [(1, np.zeros(2), True), ("a", np.zeros(2), True)],

@@ -119,6 +119,34 @@ def _only(count):
     return [set(range(count)) - {i} for i in range(count)] + [set()]
 
 
+def _alone_and_all_but_x(count):
+    """The sets of operands that require grad: each of ``count`` operands
+    alone, then every operand but x (index 0), as in the lowest trained
+    layer of an encoder whose lower layers are frozen."""
+    return [{i} for i in range(count)] + [set(range(1, count))]
+
+
+def check_partial_equals_full(op, shapes, trained):
+    """``op`` over random operands of ``shapes`` with only the operands at
+    indices ``trained`` requiring grad: ``grad_fn`` gives each parent entry
+    of a trained operand, byte for byte, the gradient it gives when every
+    operand requires grad, and None for each parent entry of a constant.
+    17 rows, so that a column sum taken in another order would differ."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(shape) * 0.5 for shape in shapes]
+        full = op(*(Tensor(a, requires_grad=True) for a in arrays))
+        r = projection(rng, full.shape)
+        part = op(*(Tensor(a, requires_grad=i in trained) for i, a in enumerate(arrays)))
+        for idx, (entry, got, want) in enumerate(zip(
+                part._node.parents, part._node.grad_fn(r), full._node.grad_fn(r))):
+            if entry is None:
+                assert got is None, f"seed {seed}, parent {idx}"
+            else:
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (want.dtype, want.shape, want.tobytes()), f"seed {seed}, parent {idx}"
+
+
 def run_instances(make_case):
     for seed in range(N_INSTANCES):
         rng = np.random.default_rng(seed)
@@ -186,6 +214,27 @@ class TestConstantOperands:
             check_constant_operands(layer_norm_residual, _layer_norm_numpy,
                                     _norm_operands(rng), constant, rng, seed)
         run_instances(case)
+
+
+class TestPartialGradients:
+    """A recorded sublayer computes its whole backward, whichever of its
+    operands require grad, so a partly trained one gets the gradients of a
+    fully trained one."""
+
+    @pytest.mark.parametrize("trained", _alone_and_all_but_x(9))
+    def test_attention(self, trained):
+        check_partial_equals_full(lambda x, *w: multi_head_attention(x, 2, *w),
+                                  [(17, 8), *[(8, 8), (8,)] * 3, (8, 6), (6,)], trained)
+
+    @pytest.mark.parametrize("trained", _alone_and_all_but_x(5))
+    def test_feed_forward(self, trained):
+        check_partial_equals_full(feed_forward, [(17, 8), (8, 12), (12,), (12, 6), (6,)],
+                                  trained)
+
+    @pytest.mark.parametrize("trained", _alone_and_all_but_x(4))
+    def test_layer_norm_residual(self, trained):
+        check_partial_equals_full(layer_norm_residual, [(17, 8), (17, 8), (8,), (8,)],
+                                  trained)
 
 
 class TestShapeOps:
@@ -362,7 +411,7 @@ class TestAttentionGrad:
             out = np.empty(r.shape)
             row_max, row_sum = np.empty((2, 3, 1)), np.empty((2, 3, 1))
             _attention_into(q.copy(), k, v, out, row_max, row_sum)
-            gk = _attention_grads(q, k, v, out, r, row_max, row_sum, (True, True, True))
+            gk = _attention_grads(q, k, v, out, r, row_max, row_sum)
             for idx, got in enumerate((q, gk, v)):
                 def scalar(perturbed, idx=idx):
                     args = list(arrays)

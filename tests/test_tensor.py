@@ -353,8 +353,7 @@ class TestAttention:
         _attention_into(split(arrays[0].copy()), k, v, got_out, row_max, row_sum)
         assert np.array_equal(got_out, out)
         got_q, got_v = split(arrays[0].copy()), split(arrays[2].copy())
-        got_k = _attention_grads(got_q, k, got_v, got_out, g, row_max, row_sum,
-                                 (True, True, True))
+        got_k = _attention_grads(got_q, k, got_v, got_out, g, row_max, row_sum)
         for got, expected in zip((got_q, got_k, got_v), (gq, gk, gv)):
             assert np.array_equal(got, expected)
         assert np.argsort(got_k.strides).tolist() == np.argsort(gk.strides).tolist()

@@ -7,13 +7,21 @@ import struct
 import numpy as np
 
 
+def fmt_body(fmt, channels, rate, bits):
+    """The 16-byte body of a ``fmt `` chunk."""
+    block = channels * bits // 8
+    return struct.pack("<HHIIHH", fmt, channels, rate, rate * block, block, bits)
+
+
+def riff_bytes(*chunks):
+    """A RIFF/WAVE file of the ``(chunk id, body)`` pairs, in order, unpadded."""
+    body = b"WAVE" + b"".join(struct.pack("<4sI", cid, len(b)) + b for cid, b in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 def wav_bytes(fmt, channels, rate, bits, payload):
     """A canonical 44-byte RIFF/WAVE header, then ``payload`` as its data chunk."""
-    block = channels * bits // 8
-    hdr = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE",
-                      b"fmt ", 16, fmt, channels, rate, rate * block, block, bits,
-                      b"data", len(payload))
-    return hdr + payload
+    return riff_bytes((b"fmt ", fmt_body(fmt, channels, rate, bits)), (b"data", payload))
 
 
 def pcm16_wav_bytes(x, rate):
