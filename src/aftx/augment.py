@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Spectrogram
-from .errors import MaskTooLarge, ShapeError, finite, real_array
+from .errors import MaskTooLarge, ShapeError, checked_seed, finite, real_array
 
 FREQUENCY = "frequency"
 TIME = "time"
@@ -60,10 +60,11 @@ def sample_mask_regions(num_rows: int, axis: str, seed: int) -> tuple[int, int]:
     Its width is uniform on [0, the axis's widest band], which must be
     narrower than the axis; its position keeps it inside the axis.  The
     generator is derived from (seed, axis) so composition order cannot
-    change the draw.
+    change the draw.  A seed other than a non-negative whole number raises
+    InvalidSeed.
     """
     stream, max_width = _band_limits(num_rows, axis)
-    rng = np.random.default_rng([seed, stream])
+    rng = np.random.default_rng([checked_seed(seed), stream])
     width = int(rng.integers(0, max_width + 1))
     start = int(rng.integers(0, num_rows - width + 1))
     return start, start + width
@@ -106,8 +107,10 @@ def augment_corpus(clips: list[Spectrogram], seed: int,
     are masked when read, so each clip is checked here: values that are
     ragged or not 2-D raise ShapeError, not real NotReal, NaN or infinite
     NonFinite, and with no more than ``MAX_FREQ_WIDTH`` mel bins or
-    ``MAX_TIME_WIDTH`` frames MaskTooLarge.
+    ``MAX_TIME_WIDTH`` frames MaskTooLarge.  A seed other than a
+    non-negative whole number raises InvalidSeed.
     """
+    checked_seed(seed)
     out: list[tuple[Spectrogram | MaskedSpectrogram, Provenance]] = []
     for spec in clips:
         out.append((spec, Provenance(spec.source_id, "original")))

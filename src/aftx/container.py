@@ -85,7 +85,6 @@ def load_container(path) -> list[Entry]:
             raise FormatError(f"{path}: manifest is not a list of entries")
         start = 9 + mlen
         entries: list[Entry] = []
-        names: set[str] = set()
         spans: list[tuple[int, int, str]] = []   # non-empty payload byte ranges
         for item in manifest:
             try:
@@ -93,13 +92,6 @@ def load_container(path) -> list[Entry]:
                 offset, trainable = item["offset"], item["trainable"]
             except (KeyError, TypeError) as exc:
                 raise FormatError(f"{path}: manifest entry {item!r} lacks a field") from exc
-            if not isinstance(name, str):
-                raise FormatError(f"{path}: entry name {name!r} is not a string")
-            if name in names:
-                raise FormatError(f"{path}: entry name {name!r} appears twice")
-            names.add(name)
-            if not isinstance(trainable, bool):
-                raise FormatError(f"{path}: entry {name!r} has a non-bool trainable {trainable!r}")
             if not all(_is_count(n) for n in shape) or not _is_count(offset):
                 raise FormatError(f"{path}: entry {name!r} has a bad shape {shape} or offset {offset!r}")
             count = math.prod(shape)
@@ -112,6 +104,8 @@ def load_container(path) -> list[Entry]:
             entries.append((name, arr.reshape(shape), trainable))
             if count:
                 spans.append((offset, offset + 8 * count, name))
+    # names first: the sort compares two names when their ranges tie
+    _checked_entries(entries, str(path))
     # in order of start, a range meets an earlier one only if it meets the one before it
     spans.sort()
     for (_, end, last), (start, _, name) in zip(spans, spans[1:]):
@@ -122,8 +116,8 @@ def load_container(path) -> list[Entry]:
 
 def _checked_entries(entries, where: str) -> list[Entry]:
     """``entries`` as a list; FormatError, naming ``where``, for a non-string
-    or repeated name or a non-bool trainable flag, which ``load_container``
-    would reject."""
+    or repeated name or a non-bool trainable flag: the checks that the
+    writer, the reader and the digest share."""
     entries = list(entries)
     names: set[str] = set()
     for name, _, trainable in entries:

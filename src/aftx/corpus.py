@@ -33,6 +33,7 @@ from .errors import (
     SchemaError,
     ShapeError,
     UnknownKind,
+    checked_seed,
     finite,
     real_array,
 )
@@ -134,8 +135,10 @@ def make_folds(clips: list[AnnotatedClip], trait: str, seed: int,
     invariant holds only as far as speaker clip counts allow.  Fewer than
     ``NUM_FOLDS`` clips, or in that mode speakers, raise InputTooShort.  A
     clip id that appears twice, or a clip whose label for ``trait`` is
-    missing or other than 0 or 1, raises LabelError.
+    missing or other than 0 or 1, raises LabelError, and a seed other than a
+    non-negative whole number InvalidSeed.
     """
+    checked_seed(seed)
     if len(clips) < NUM_FOLDS:
         raise InputTooShort(f"need at least {NUM_FOLDS} clips, got {len(clips)}")
     labels = {}

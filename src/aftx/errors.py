@@ -69,6 +69,10 @@ class MaskTooLarge(AftxError):
     """Mask width must be strictly smaller than the masked axis."""
 
 
+class InvalidSeed(AftxError):
+    """A seed is not a non-negative whole number."""
+
+
 # --- corpus ---
 
 class SchemaError(AftxError):
@@ -117,6 +121,14 @@ def is_whole(n) -> bool:
     """Whether ``n`` is an integer (Python's or numpy's) and not a bool: the
     contract of a size, a count or a stride."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def checked_seed(seed):
+    """``seed``, or InvalidSeed unless it is a non-negative whole number
+    (``is_whole``): the contract of every seed a caller passes."""
+    if not is_whole(seed) or seed < 0:
+        raise InvalidSeed(f"a seed must be a non-negative whole number, got {seed!r}")
+    return seed
 
 
 def finite(arr: np.ndarray, what: str) -> np.ndarray:

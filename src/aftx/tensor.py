@@ -9,14 +9,16 @@ caller is float64.  ``_compute_arrays`` holds the rule, and every op reads
 its operands through it, with two exceptions on the frozen side: the ops
 that only move values (``reshape``, ``transpose``, ``stack``) keep their
 operands' dtype, and the loss ``softmax_cross_entropy`` computes in
-float64.  ``backward`` and the gradient checks stay float64.
+float64.  ``backward`` and the gradient checks stay float64.  The dtype
+is the only difference: frozen or taped, each op runs one algorithm
+(attention normalises after its value product, ``_attention_into``).
 
 A frozen forward's output agrees with the float64 taped forward within
 1e-5 of its largest magnitude.  Measured over a whole encoder (``conv1d``
 80 -> 128 channels over 998 log-mel frames, two post-norm layers with 4
 heads and a 256-wide feed-forward, the benchmark's checkpoint, 16 clips):
-each state within 8.9e-7 of its largest magnitude, and the mean-pooled
-[layers + 1, dim] stacks within 8.5e-7 of each layer's.
+each state within 8.93e-7 of its largest magnitude, and the mean-pooled
+[layers + 1, dim] stacks within 8.50e-7 of each layer's.
 
 The engine is a plain tape.  Every operation that involves a tensor with
 ``requires_grad`` gives its output a node: the tape entries of its parents
@@ -40,7 +42,7 @@ to be kept.  Each encoder sublayer is one op
 recomputes its inner activations in the backward, by the same float
 operations as the forward, so they equal the forward's bit for bit:
 attention keeps only its input, its merged head outputs and each row's
-softmax max and sum, and recomputes the q, k and v projections and each
+sum of exponentials, and recomputes the q, k and v projections and each
 head's [frames, frames] weights, one head at a time; the feed-forward
 keeps only its input and recomputes its hidden layer.
 
@@ -307,86 +309,63 @@ def stack(tensors) -> Tensor:
     return _from_op(data, tuple(tensors), grad_fn)
 
 
-def _weights_into(q: np.ndarray, k: np.ndarray, out: np.ndarray, row_max: np.ndarray,
-                  row_sum: np.ndarray | None, rows_known: bool = False) -> np.ndarray:
-    """softmax(q kᵀ) of one scaled [frames_q, d] query and [frames_k, d] key slice,
-    written into ``out`` [frames_q, frames_k] with no other array of its size:
-    subtract each row's max, exponentiate in place, divide by the row's
-    sum.  Each row's max and sum of exponentials go into
-    ``row_max`` and ``row_sum`` [frames_q, 1]; with ``rows_known`` they are
-    read from there instead, which skips both reductions and gives the same
-    weights bit for bit.  With ``row_sum`` None the rows are left
-    unnormalised, exp(s - rowmax)."""
+def _exp_scores_into(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(q kᵀ - rowmax) of one scaled [frames_q, d] query and [frames_k, d]
+    key slice, written into ``out`` [frames_q, frames_k] with no other array
+    of its size.  The max is computed each time; it is exact, so a backward's
+    recompute gives the forward's exponentials bit for bit."""
     np.matmul(q, k.T, out=out)
-    if not rows_known:
-        out.max(axis=-1, keepdims=True, out=row_max)
-    np.subtract(out, row_max, out=out)
-    np.exp(out, out=out)
-    if row_sum is None:
-        return out
-    if not rows_known:
-        out.sum(axis=-1, keepdims=True, out=row_sum)
-    out /= row_sum
-    return out
+    np.subtract(out, out.max(axis=-1, keepdims=True), out=out)
+    return np.exp(out, out=out)
 
 
 def _attention_into(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
-                    row_max: np.ndarray | None = None,
-                    row_sum: np.ndarray | None = None) -> None:
+                    row_sum: np.ndarray) -> None:
     """softmax(q kᵀ / sqrt(d)) v of each head (Vaswani et al. 2017, arXiv
     1706.03762) into ``out`` [heads, frames_q, d_v], from ``q`` [heads,
     frames_q, d], ``k`` [heads, frames_k, d] and ``v`` [heads, frames_k,
-    d_v].  ``q`` is scaled in place.  Each head's weights go into one
-    reused [frames_q, frames_k] buffer of ``q``'s dtype.
+    d_v], in ``q``'s dtype (the module docstring's rule).  ``q`` is scaled
+    in place, and each head's weights go into one reused [frames_q,
+    frames_k] buffer.
 
-    A taped forward passes ``row_max`` and ``row_sum`` [heads, frames_q, 1]
-    for its backward: each row's softmax max and sum go there, and the
-    weights are normalised before the value product, by the float
-    operations ``_attention_grads`` repeats.  A forward that records no node
-    passes neither, and computes in float32 (the module docstring's rule):
-    it normalises after the value product, the deferred normalisation of
-    FlashAttention (Dao et al. 2022, arXiv 2205.14135).  Each head's
+    It normalises after the value product, the deferred normalisation of
+    FlashAttention (Dao et al. 2022, arXiv 2205.14135): each head's
     exp(s - rowmax) multiplies [v | 1], and the output is that product
-    divided by its last column, the row sums; so no pass sums or divides
-    the [frames_q, frames_k] weights.  On one [498, 32] float32 head that
-    takes 0.81 ms against 0.91 ms normalising first (best of 40 × 50, one
-    BLAS thread); over a whole frozen encoder each state stays within
-    8.9e-7 of the float64 forward's largest magnitude (module docstring)."""
+    divided by its last column, the row sums, which go into ``row_sum``
+    [heads, frames_q, 1] for a backward.  So no pass sums or divides the
+    [frames_q, frames_k] weights.  On one [498, 32] float32 head that takes
+    0.81 ms against 0.91 ms normalising first (best of 40 × 50, one BLAS
+    thread)."""
     q *= 1.0 / math.sqrt(q.shape[-1])
-    p = np.empty((q.shape[-2], k.shape[-2]), dtype=q.dtype)
-    if row_max is not None:
-        for i in range(len(q)):
-            _weights_into(q[i], k[i], p, row_max[i], row_sum[i])
-            np.matmul(p, v[i], out=out[i])
-        return
     d_v = v.shape[-1]
-    row_max = np.empty((q.shape[-2], 1), dtype=q.dtype)
+    p = np.empty((q.shape[-2], k.shape[-2]), dtype=q.dtype)
     v_one = np.ones(v.shape[-2:-1] + (d_v + 1,), dtype=v.dtype)
     p_v_one = np.empty((q.shape[-2], d_v + 1), dtype=q.dtype)
     for i in range(len(q)):
-        _weights_into(q[i], k[i], p, row_max, None)
         v_one[:, :d_v] = v[i]
-        np.matmul(p, v_one, out=p_v_one)
-        np.divide(p_v_one[:, :d_v], p_v_one[:, d_v:], out=out[i])
+        np.matmul(_exp_scores_into(q[i], k[i], p), v_one, out=p_v_one)
+        row_sum[i] = p_v_one[:, d_v:]
+        np.divide(p_v_one[:, :d_v], row_sum[i], out=out[i])
 
 
 def _attention_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, out, g: np.ndarray,
-                     row_max: np.ndarray, row_sum: np.ndarray):
+                     row_sum: np.ndarray):
     """The backward of ``_attention_into`` for the output gradient ``g``.  It
     writes q's and v's gradients over ``q`` and ``v``, and returns k's
     gradient as a [heads, frames_k, d] view of a [heads, d, frames_k] array,
     the layout of the qᵀ gs products it is made of.  Merged over heads it is
     a column-major [frames_k, heads * d] view, and a reduction over it (such
     as a key bias gradient) sums in that order, the order of the batched
-    formula.  ``out`` is the forward's output.
+    formula.  ``out`` is the forward's output and ``row_sum`` its row sums.
 
-    Each head's weights are recomputed from ``row_max`` and ``row_sum`` by
-    the forward's float operations, so they equal the forward's bit for
-    bit.  Before any [frames_q, frames_k] scratch array exists, every
-    head's rowsum(g ∘ out), which equals rowsum((g vᵀ) ∘ weights) (Dao et
-    al. 2022), is computed through one [frames_q, d_v] buffer.  Each head
-    overwrites its slice of v once its score gradient has read it, and of
-    q once k's gradient has read the scaled queries."""
+    Each head's exp(s - rowmax) is recomputed by the forward's float
+    operations, so it equals the forward's bit for bit, and divided by the
+    kept row sums to give the weights.  Before any [frames_q, frames_k]
+    scratch array exists, every head's rowsum(g ∘ out), which equals
+    rowsum((g vᵀ) ∘ weights) (Dao et al. 2022), is computed through one
+    [frames_q, d_v] buffer.  Each head overwrites its slice of v once its
+    score gradient has read it, and of q once k's gradient has read the
+    scaled queries."""
     scale = 1.0 / math.sqrt(q.shape[-1])
     q *= scale
     dots, prod = np.empty(row_sum.shape), np.empty(out.shape[-2:])
@@ -398,7 +377,8 @@ def _attention_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, out, g: np.nda
     gk = np.empty((len(q), q.shape[-1], k.shape[-2]))
     p = np.empty((q.shape[-2], k.shape[-2]))
     for i in range(len(q)):
-        _weights_into(q[i], k[i], p, row_max[i], row_sum[i], rows_known=True)
+        _exp_scores_into(q[i], k[i], p)
+        p /= row_sum[i]
         np.matmul(g[i], v[i].T, out=gs)
         gs -= dots[i]
         gs *= p
@@ -418,15 +398,16 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     output projection ``wo`` [dim, d_out] plus ``bo``.
 
     The heads write their outputs straight into one [frames, heads,
-    head_dim] array, which is also the output projection's input.  The node
-    keeps that array, ``x`` and each row's softmax max and sum.  Its
-    backward recomputes q, k and v with ``linear``'s float operations and
-    each head's weights from the row statistics, and writes q's and v's
-    gradients over the recomputed q and v head by head.  Its parents are
-    (x, wq, bq, x, wk, bk, x, wv, bv, wo, bo), so x's three projection
-    gradients are summed in the order q, k, v.  When no operand requires
-    grad, it records no node, computes in float32 and normalises each
-    head's weights after the value product (``_attention_into``).
+    head_dim] array, which is also the output projection's input.  Taped
+    or frozen, each head normalises after its value product
+    (``_attention_into``); only the dtype differs (the module docstring's
+    rule).  The node keeps ``x``, the merged outputs and each row's sum
+    [heads, frames, 1].  Its backward recomputes q, k and v with
+    ``linear``'s float operations and each head's exp(s - rowmax), divides
+    that by the row sums, and writes q's and v's gradients over the
+    recomputed q and v head by head.  Its parents are (x, wq, bq, x, wk,
+    bk, x, wv, bv, wo, bo), so x's three projection gradients are summed
+    in the order q, k, v.
     """
     x, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv,
                                                                  wo, bo))
@@ -448,15 +429,11 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     def split(a):  # [frames, dim] -> [heads, frames, head_dim] view
         return a.reshape(frames, num_heads, dim // num_heads).transpose(1, 0, 2)
 
-    operands = (x, wq, bq, wk, bk, wv, bv, wo, bo)
-    x2, *proj, wo_data, bo_data = _compute_arrays(operands)
+    x2, *proj, wo_data, bo_data = _compute_arrays((x, wq, bq, wk, bk, wv, bv, wo, bo))
     proj = list(zip(proj[::2], proj[1::2]))
     merged = np.empty((frames, dim), dtype=x2.dtype)
-    row_max = row_sum = None
-    if _records(operands):
-        row_max, row_sum = (np.empty((num_heads, frames, 1)) for _ in range(2))
-    _attention_into(*(split(_affine(x2, w, b)) for w, b in proj), split(merged),
-                    row_max, row_sum)
+    row_sum = np.empty((num_heads, frames, 1), dtype=x2.dtype)
+    _attention_into(*(split(_affine(x2, w, b)) for w, b in proj), split(merged), row_sum)
     data = _affine(merged, wo_data, bo_data)
 
     flags = [(x.requires_grad, w.requires_grad, b.requires_grad) for w, b in projections]
@@ -465,7 +442,7 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     def grad_fn(g):
         projected = [_affine(x2, w, b) for w, b in proj]
         gk = _attention_grads(*(split(a) for a in projected), split(merged),
-                              split(g @ wo_data.T), row_max, row_sum)
+                              split(g @ wo_data.T), row_sum)
         projected[1] = gk.transpose(1, 0, 2).reshape(frames, dim)  # a view, not a copy
         grads = [grad for gp, (w, _), f in zip(projected, proj, flags)
                  for grad in _linear_grads(gp, x2, w, f)]

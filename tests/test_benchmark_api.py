@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from aftx.layers import positional_encoding
-from aftx.tensor import Tensor
+from aftx.optim import AdamW
+from aftx.tensor import Parameter, Tensor
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -65,6 +66,31 @@ def test_taped_encoder_states_backward(api, bench):
     api.backward(api.softmax_cross_entropy(api.stack([logits]), [1]))
     for t in (*p.values(), *head.values()):
         assert t.grad is not None and t.grad.shape == t.shape and np.isfinite(t.grad).all()
+
+
+def test_seeded_training_step_is_bit_identical(api, bench):
+    """Two taped training steps from one seed, each from a fresh
+    ``init_encoder(0)``, give the same loss and the same parameter bytes
+    after one AdamW step."""
+    model = bench[1]
+
+    def step():
+        arrays = dict(model.init_encoder(0))
+        arrays.update({f"head.{k}": v for k, v in
+                       model.init_linear(np.random.default_rng(1), 128, 2).items()})
+        params = {name: Parameter(Tensor(arr), name=name) for name, arr in arrays.items()}
+        t = {name: q.tensor for name, q in params.items()}
+        states = model.encoder_states(api, t, _log_mel(), positional_encoding(9, 128))
+        logits = api.linear(api.tmean(states[-1], 0), t["head.w"], t["head.b"])
+        loss = api.softmax_cross_entropy(api.stack([logits]), [1])
+        api.backward(loss)
+        api.step(AdamW(params, lr=1e-3))
+        return loss.item(), {name: q.data.tobytes() for name, q in params.items()}
+
+    (loss, before), (again, after) = step(), step()
+    assert loss == again
+    assert before == after
+    assert before["layer0.attn.wq"] != model.init_encoder(0)["layer0.attn.wq"].tobytes()
 
 
 def test_cnn_logits(api, bench):

@@ -11,7 +11,8 @@ corrupts those.)
 
 A size, count or stride argument must be an integer, Python's or numpy's,
 and not a bool: a float, a string or a bool raises the boundary's named
-error, never a bare TypeError, and True is not taken as 1.
+error, never a bare TypeError, and True is not taken as 1.  A seed must
+also be non-negative, and any other seed raises InvalidSeed.
 """
 
 import warnings
@@ -22,10 +23,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aftx.audio import Spectrogram, Waveform, log_mel, write_wav
-from aftx.augment import augment_corpus
+from aftx.augment import augment_corpus, sample_mask_regions
 from aftx.container import entries_digest, save_container
-from aftx.corpus import FIVE_POINT, JudgeScores, binarize_majority, summarize_continuous
-from aftx.errors import AftxError, HeadMismatch, NonFinite, NotReal, ShapeError
+from aftx.corpus import (FIVE_POINT, AnnotatedClip, JudgeScores, binarize_majority, make_folds,
+                         summarize_continuous)
+from aftx.errors import AftxError, HeadMismatch, InvalidSeed, NonFinite, NotReal, ShapeError
 from aftx.layers import positional_encoding
 from aftx.metrics import ConfusionMatrix, pearson
 from aftx.tensor import Tensor, conv1d, multi_head_attention
@@ -160,3 +162,32 @@ def test_size_that_is_not_a_whole_number_raises_named_error(error, call):
 def test_numpy_integer_sizes_are_taken():
     assert positional_encoding(np.int64(3), np.int32(4)).shape == (3, 4)
     assert _attention(np.int64(2)).shape == (3, 4)
+
+
+CLIPS = [AnnotatedClip(str(i), "", binary_labels={"EX": i % 2}) for i in range(10)]
+SEEDED = {
+    "augment_corpus": lambda seed: [v.values for v, _ in
+                                    augment_corpus([Spectrogram(SPEC, "x")], seed)],
+    "sample_mask_regions": lambda seed: sample_mask_regions(80, "freq", seed),
+    "make_folds": lambda seed: list(make_folds(CLIPS, "EX", seed=seed).assignments.values()),
+}
+
+# (boundary, what the seed is, the seed): before the boundaries checked
+# their seeds, each call raised numpy's bare ValueError or TypeError, or
+# took the seed (True as 1, "7" as a string, None as fresh entropy)
+SEEDS = [(name, kind, seed) for name in SEEDED
+         for kind, seed in (("negative", -1), ("negative-numpy", np.int64(-1)),
+                            ("float", 1.5), ("bool", True), ("str", "7"), ("none", None))]
+
+
+@pytest.mark.parametrize("name, seed", [(n, s) for n, _, s in SEEDS],
+                         ids=[f"{name}-{kind}" for name, kind, _ in SEEDS])
+def test_seed_that_is_not_a_non_negative_whole_number_raises_invalid_seed(name, seed):
+    with pytest.raises(InvalidSeed):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_numpy_integer_seeds_are_taken(name):
+    for expected, got in zip(SEEDED[name](7), SEEDED[name](np.int64(7))):
+        assert np.array_equal(expected, got)

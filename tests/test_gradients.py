@@ -409,9 +409,9 @@ class TestAttentionGrad:
             r = projection(rng, (2, 3, 3))
             q, k, v = (a.copy() for a in arrays)
             out = np.empty(r.shape)
-            row_max, row_sum = np.empty((2, 3, 1)), np.empty((2, 3, 1))
-            _attention_into(q.copy(), k, v, out, row_max, row_sum)
-            gk = _attention_grads(q, k, v, out, r, row_max, row_sum)
+            row_sum = np.empty((2, 3, 1))
+            _attention_into(q.copy(), k, v, out, row_sum)
+            gk = _attention_grads(q, k, v, out, r, row_sum)
             for idx, got in enumerate((q, gk, v)):
                 def scalar(perturbed, idx=idx):
                     args = list(arrays)

@@ -282,10 +282,10 @@ class TestMultiHeadAttention:
 
 
 def _attend(q, k, v):
-    """Output [heads, frames_q, d_v] of the attention helper, which scales
-    a copy of ``q``."""
-    out = np.empty(q.shape[:-1] + v.shape[-1:])
-    _attention_into(q.copy(), k, v, out, *(np.empty(q.shape[:-1] + (1,)) for _ in range(2)))
+    """Output [heads, frames_q, d_v] of the attention helper, in ``q``'s
+    dtype, which scales a copy of ``q``."""
+    out = np.empty(q.shape[:-1] + v.shape[-1:], dtype=q.dtype)
+    _attention_into(q.copy(), k, v, out, np.empty(q.shape[:-1] + (1,), dtype=q.dtype))
     return out
 
 
@@ -293,34 +293,42 @@ class TestAttention:
     """The attention helpers behind ``multi_head_attention``, and its shape
     checks."""
 
-    def operands(self, seed=0):
+    def operands(self, seed=0, dtype=np.float64):
         rng = np.random.default_rng(seed)
-        return (rng.standard_normal((3, 6, 4)), rng.standard_normal((3, 5, 4)),
-                rng.standard_normal((3, 5, 2)))
+        return (rng.standard_normal((3, 6, 4)).astype(dtype),
+                rng.standard_normal((3, 5, 4)).astype(dtype),
+                rng.standard_normal((3, 5, 2)).astype(dtype))
 
-    def test_equals_softmax_matmul_chain(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_deferred_normalisation_chain(self, dtype):
+        """One algorithm in both dtypes: exp(s - rowmax) [v | 1], divided by
+        its last column, the row sums."""
+        for seed in range(5):
+            q, k, v = self.operands(seed, dtype)
+            scores = np.matmul(q * dtype(1.0 / math.sqrt(4)), np.swapaxes(k, -1, -2))
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            ev = np.matmul(e, np.concatenate([v, np.ones(v.shape[:-1] + (1,), dtype)], -1))
+            chain = ev[..., :-1] / ev[..., -1:]
+            got = _attend(q, k, v)
+            assert got.dtype == dtype
+            assert np.array_equal(got, chain)
+
+    def test_agrees_with_the_softmax_matmul_chain(self):
+        """Normalising after the value product gives the chain's value,
+        summed in another order."""
         for seed in range(5):
             q, k, v = self.operands(seed)
             scores = np.matmul(q * (1.0 / math.sqrt(4)), np.swapaxes(k, -1, -2))
             weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
             weights /= weights.sum(axis=-1, keepdims=True)
             chain = np.matmul(weights, v)
-            assert np.array_equal(_attend(q, k, v), chain)
-
-    def test_normalised_after_the_value_product_without_row_statistics(self):
-        """With no row statistics to keep, as in a forward that records no
-        node, the helper divides exp(s - rowmax) [v | 1] by its last column:
-        the chain's value, summed in another order."""
-        for seed in range(5):
-            q, k, v = self.operands(seed)
-            out = np.empty(q.shape[:-1] + v.shape[-1:])
-            _attention_into(q.copy(), k, v, out)
-            np.testing.assert_allclose(out, _attend(q, k, v), rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(_attend(q, k, v), chain, rtol=1e-12, atol=1e-14)
 
     def test_equals_batched_formulas_in_value_and_layout(self):
         """Head by head, the helpers compute what one batched product over
         [heads, frames, frames] weights computes, bit for bit, with q scaled
-        as one array before the scores and q's gradient scaled after.
+        as one array before the scores and q's gradient scaled after, and
+        the weights of the backward divided by the forward's row sums.
         Operands, output and output gradient are split-head views, as in
         multi-head attention.  q's and v's gradients are written over q and
         v, and k's keeps the stride order of its batched formula (in a
@@ -336,10 +344,11 @@ class TestAttention:
         q, k, v, g = (split(a) for a in arrays)
         scale = 1.0 / math.sqrt(width)
         qs = q * scale
-        p = np.matmul(qs, np.swapaxes(k, -1, -2))
-        p = np.exp(p - p.max(axis=-1, keepdims=True))
-        p /= p.sum(axis=-1, keepdims=True)
-        out = np.matmul(p, v)
+        e = np.matmul(qs, np.swapaxes(k, -1, -2))
+        e = np.exp(e - e.max(axis=-1, keepdims=True))
+        ev = np.matmul(e, np.concatenate([v, np.ones((heads, frames, 1))], -1))
+        out = ev[..., :-1] / ev[..., -1:]
+        p = e / ev[..., -1:]
         gv = np.matmul(np.swapaxes(p, -1, -2), g)
         gs = np.matmul(g, np.swapaxes(v, -1, -2))
         gs -= (g * out).sum(axis=-1, keepdims=True)
@@ -349,11 +358,12 @@ class TestAttention:
         gk = np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), gs), -1, -2)
 
         got_out = split(np.empty((frames, heads * width)))
-        row_max, row_sum = np.empty((heads, frames, 1)), np.empty((heads, frames, 1))
-        _attention_into(split(arrays[0].copy()), k, v, got_out, row_max, row_sum)
+        row_sum = np.empty((heads, frames, 1))
+        _attention_into(split(arrays[0].copy()), k, v, got_out, row_sum)
         assert np.array_equal(got_out, out)
+        assert np.array_equal(row_sum, ev[..., -1:])
         got_q, got_v = split(arrays[0].copy()), split(arrays[2].copy())
-        got_k = _attention_grads(got_q, k, got_v, got_out, g, row_max, row_sum)
+        got_k = _attention_grads(got_q, k, got_v, got_out, g, row_sum)
         for got, expected in zip((got_q, got_k, got_v), (gq, gk, gv)):
             assert np.array_equal(got, expected)
         assert np.argsort(got_k.strides).tolist() == np.argsort(gk.strides).tolist()
@@ -860,7 +870,7 @@ class TestTapeContracts:
     def test_attention_keeps_x_merged_output_and_row_statistics(self, heads):
         """Besides x and the weights, the graph of multi_head_attention saves
         the merged head outputs, as one C-contiguous [frames, dim] array, and
-        each row's softmax max and sum [heads, frames, 1].  With dim 4 and 4
+        each row's sum of exponentials [heads, frames, 1].  With dim 4 and 4
         heads, head_dim is 1, the case in which an output laid out like the
         strided split-head queries came out as [d_v, frames, heads], so that
         merging the heads copied it."""
@@ -875,7 +885,7 @@ class TestTapeContracts:
                  if isinstance(a, np.ndarray)
                  and not any(np.shares_memory(a, b) for b in inputs)}
         assert sorted(a.shape for a in saved.values()) == \
-            [(heads, frames, 1)] * 2 + [(frames, dim)]
+            [(heads, frames, 1), (frames, dim)]
         assert all(a.flags.c_contiguous for a in saved.values())
 
     def test_feed_forward_keeps_only_its_input(self):
