@@ -14,16 +14,3 @@ Subpackage map:
   scores CSV and synthetic judge scores.
 - ``metrics``: UAR, phi, Pearson, trait-pair tables.
 """
-
-from .tensor import Parameter, Tensor, backward
-from .optim import AdamW
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AdamW",
-    "Parameter",
-    "Tensor",
-    "backward",
-    "__version__",
-]

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, real_array
+from .errors import FormatError, OutOfRange, is_whole, real_array
 
 MAGIC = b"AFTX1"
 
@@ -35,15 +35,15 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
 
     Raises FormatError, before anything is written, for an entry that
     ``load_container`` would reject: a non-string or repeated name, or a
-    non-bool trainable flag; ShapeError for a ragged array; and NotReal for
-    complex, string or object data, which a float64 cast would change.
+    non-bool trainable flag; ShapeError for a ragged array; and, for data
+    which a float64 cast would change, NotReal for complex, string or object
+    data and OutOfRange for an integer beyond ±2**53.
     """
     path = Path(path)
     manifest = []
     payloads = []
     offset = 0
     for name, arr, trainable in _checked_entries(entries, str(path)):
-        arr = real_array(arr, f"{path}: entry {name!r}")
         payload = np.ascontiguousarray(arr, dtype="<f8")
         manifest.append({
             "name": name,
@@ -92,7 +92,7 @@ def load_container(path) -> list[Entry]:
                 offset, trainable = item["offset"], item["trainable"]
             except (KeyError, TypeError) as exc:
                 raise FormatError(f"{path}: manifest entry {item!r} lacks a field") from exc
-            if not all(_is_count(n) for n in shape) or not _is_count(offset):
+            if not all(is_whole(n) and n >= 0 for n in (*shape, offset)):
                 raise FormatError(f"{path}: entry {name!r} has a bad shape {shape} or offset {offset!r}")
             count = math.prod(shape)
             if start + offset + 8 * count > size:
@@ -115,12 +115,14 @@ def load_container(path) -> list[Entry]:
 
 
 def _checked_entries(entries, where: str) -> list[Entry]:
-    """``entries`` as a list; FormatError, naming ``where``, for a non-string
-    or repeated name or a non-bool trainable flag: the checks that the
-    writer, the reader and the digest share."""
-    entries = list(entries)
+    """``entries`` as a list, each array through ``real_array``: the checks
+    that the writer, the reader and the digest share.  Each names ``where``
+    and raises FormatError for a non-string or repeated name or a non-bool
+    trainable flag, ShapeError or NotReal for an array that is not real, and
+    OutOfRange for an integer beyond ±2**53, which float64 would round."""
+    checked: list[Entry] = []
     names: set[str] = set()
-    for name, _, trainable in entries:
+    for name, arr, trainable in entries:
         if not isinstance(name, str):
             raise FormatError(f"{where}: entry name {name!r} is not a string")
         if name in names:
@@ -128,11 +130,12 @@ def _checked_entries(entries, where: str) -> list[Entry]:
         names.add(name)
         if not isinstance(trainable, (bool, np.bool_)):
             raise FormatError(f"{where}: entry {name!r} has a non-bool trainable {trainable!r}")
-    return entries
-
-
-def _is_count(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+        arr = real_array(arr, f"{where}: entry {name!r}")
+        if arr.dtype.kind in "iu" and arr.size and not -2**53 <= arr.min() <= arr.max() <= 2**53:
+            raise OutOfRange(f"{where}: entry {name!r} holds integers beyond ±2**53, "
+                             f"which float64 would round")
+        checked.append((name, arr, trainable))
+    return checked
 
 
 def sidecar_path(path) -> Path:
@@ -149,7 +152,6 @@ def entries_digest(entries: list[Entry]) -> str:
     h = hashlib.sha256()
     for name, arr, trainable in sorted(_checked_entries(entries, "entries_digest"),
                                        key=lambda e: e[0]):
-        arr = real_array(arr, f"entry {name!r}")
         h.update(name.encode("utf-8"))
         h.update(str(arr.shape).encode("ascii"))
         h.update(b"T" if trainable else b"F")

@@ -62,7 +62,8 @@ class UnsupportedCodec(AftxError):
 
 
 class OutOfRange(AftxError):
-    """A sample to be written as 16-bit PCM lies outside [-1, 1]."""
+    """A value lies outside what its file format holds exactly: a sample to be
+    written as 16-bit PCM outside [-1, 1], or an AFTX1 integer beyond ±2**53."""
 
 
 class MaskTooLarge(AftxError):

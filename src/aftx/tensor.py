@@ -20,15 +20,18 @@ heads and a 256-wide feed-forward, the benchmark's checkpoint, 16 clips):
 each state within 8.93e-7 of its largest magnitude, and the mean-pooled
 [layers + 1, dim] stacks within 8.50e-7 of each layer's.
 
-The engine is a plain tape.  Every operation that involves a tensor with
-``requires_grad`` gives its output a node: the tape entries of its parents
-and a closure, ``grad_fn``, that maps the output gradient to parent
-gradients.  A ``grad_fn`` returns ``None`` for a parent that does not
-require grad.  A composite op (``multi_head_attention``, ``feed_forward``,
+The engine is a plain tape, and its ops take Tensors: an array enters only
+through ``Tensor(...)``, which checks it, and an op given an array fails
+with Python's AttributeError.  Every operation that involves a tensor
+with ``requires_grad`` gives its output a node: the tape entries of its
+parents and a closure, ``grad_fn``, that maps the output gradient to one
+gradient per entry, which ``backward`` relies on: an array of the parent's
+shape if the entry is not None, and None if it is (a constant).  A
+composite op (``multi_head_attention``, ``feed_forward``,
 ``layer_norm_residual``) computes its inner gradients whole, whichever of
 its operands require grad, and skips only the per-parent products: the
-input, weight and bias products of each linear map, and layer norm's gain and
-bias sums.
+input, weight and bias products of each linear map, and layer norm's gain
+and bias sums.
 
 A closure captures arrays and flags, never a Tensor, and what it saves is
 fixed when the op is recorded: only the arrays its backward reads
@@ -125,12 +128,6 @@ class _Node:
         self.grad_fn = grad_fn
 
 
-def as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
-
 def _from_op(data, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     """The output of an op: with a node if any parent requires grad, and
     ``data`` as the op computed it, in the dtype ``_compute_arrays`` chose."""
@@ -174,7 +171,6 @@ def _axis(axis, ndim: int, op: str) -> int:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """``a + b`` of two tensors of one shape."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add needs operands of one shape, got {a.shape} and {b.shape}")
     a_grad, b_grad = a.requires_grad, b.requires_grad
@@ -219,7 +215,6 @@ def _linear_grads(g2: np.ndarray, x2, w, flags) -> tuple:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one tape op: ``x`` is [d_in] or [rows, d_in], ``w``
     [d_in, d_out] and ``b`` [d_out]."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim not in (1, 2):
         raise ShapeError(f"linear expects x [d_in] or [rows, d_in], got {x.shape}")
     d_out = _check_layer("linear", x.shape[-1], w, b)
@@ -241,7 +236,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """max(x, 0), which keeps NaN; the mask of positive inputs is made only
     for a backward to read."""
-    x = as_tensor(x)
     (x_data,) = _compute_arrays((x,))
     mask = x_data > 0 if x.requires_grad else None
 
@@ -252,7 +246,6 @@ def relu(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    x = as_tensor(x)
     old = x.shape
     try:
         data = _compute_arrays((x,), frozen=None)[0].reshape(shape)
@@ -266,8 +259,9 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def transpose(x: Tensor, axes) -> Tensor:
-    x = as_tensor(x)
     ndim = x.data.ndim
+    if not np.iterable(axes):
+        raise ShapeError(f"transpose needs a sequence of axes, got {axes!r}")
     axes = tuple(_axis(a, ndim, "transpose") for a in axes)
     if sorted(axes) != list(range(ndim)):
         raise ShapeError(f"transpose axes {axes} are not a permutation of {ndim} axes")
@@ -280,7 +274,6 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 
 def tmean(x: Tensor, axis: int) -> Tensor:
-    x = as_tensor(x)
     shape = x.shape
     axis = _axis(axis, x.data.ndim, "tmean")
     count = shape[axis]
@@ -295,16 +288,16 @@ def tmean(x: Tensor, axis: int) -> Tensor:
 
 def stack(tensors) -> Tensor:
     """Stack same-shape tensors along a new first axis (used to batch clip logits)."""
-    tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("stack needs at least one tensor")
     base = tensors[0].shape
     if any(t.shape != base for t in tensors):
         raise ShapeError("stack needs tensors of identical shape")
     data = np.stack(_compute_arrays(tensors, frozen=None))
+    flags = [t.requires_grad for t in tensors]
 
     def grad_fn(g):
-        return tuple(g)
+        return tuple(gi if f else None for gi, f in zip(g, flags))
 
     return _from_op(data, tuple(tensors), grad_fn)
 
@@ -360,27 +353,23 @@ def _attention_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, out, g: np.nda
 
     Each head's exp(s - rowmax) is recomputed by the forward's float
     operations, so it equals the forward's bit for bit, and divided by the
-    kept row sums to give the weights.  Before any [frames_q, frames_k]
-    scratch array exists, every head's rowsum(g ∘ out), which equals
-    rowsum((g vᵀ) ∘ weights) (Dao et al. 2022), is computed through one
-    [frames_q, d_v] buffer.  Each head overwrites its slice of v once its
+    kept row sums to give the weights.  In the same loop over the heads,
+    each head's rowsum(g ∘ out), which equals rowsum((g vᵀ) ∘ weights) (Dao
+    et al. 2022), is taken through one reused [frames_q, d_v] buffer and
+    subtracted from g vᵀ.  Each head overwrites its slice of v once its
     score gradient has read it, and of q once k's gradient has read the
     scaled queries."""
     scale = 1.0 / math.sqrt(q.shape[-1])
     q *= scale
-    dots, prod = np.empty(row_sum.shape), np.empty(out.shape[-2:])
-    for i in range(len(q)):
-        np.multiply(g[i], out[i], out=prod)
-        prod.sum(axis=-1, keepdims=True, out=dots[i])
-    del prod
     gs = np.empty((q.shape[-2], k.shape[-2]))
     gk = np.empty((len(q), q.shape[-1], k.shape[-2]))
-    p = np.empty((q.shape[-2], k.shape[-2]))
+    p, prod = np.empty((q.shape[-2], k.shape[-2])), np.empty(out.shape[-2:])
     for i in range(len(q)):
         _exp_scores_into(q[i], k[i], p)
         p /= row_sum[i]
         np.matmul(g[i], v[i].T, out=gs)
-        gs -= dots[i]
+        np.multiply(g[i], out[i], out=prod)
+        gs -= prod.sum(axis=-1, keepdims=True)
         gs *= p
         np.matmul(p.T, g[i], out=v[i])
         np.matmul(q[i].T, gs, out=gk[i])
@@ -409,8 +398,6 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     bk, x, wv, bv, wo, bo), so x's three projection gradients are summed
     in the order q, k, v.
     """
-    x, wq, bq, wk, bk, wv, bv, wo, bo = (as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv,
-                                                                 wo, bo))
     if x.data.ndim != 2:
         raise ShapeError(f"attention expects x [frames, dim], got {x.shape}")
     frames, dim = x.shape
@@ -466,7 +453,6 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     its backward recomputes the hidden layer by the forward's float
     operations, and makes the ReLU mask from it.  As ``relu``, the hidden
     ReLU keeps NaN."""
-    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     if x.data.ndim != 2:
         raise ShapeError(f"feed_forward expects x [rows, d_in], got {x.shape}")
     hidden = _check_layer("feed_forward", x.shape[1], w1, b1)
@@ -494,7 +480,6 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
 
     out_length = floor((length - window) / stride) + 1.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeError(f"conv1d expects [c_in, L] and [c_out, c_in, W], got {x.shape}, {w.shape}")
     c_in, length = x.shape
@@ -525,7 +510,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
 
     def grad_fn(g):
         # g: [c_out, out_length]
-        gx = gw = gb = None
+        gx = gw = None
         if w2 is not None:
             per_tap = (w2.T @ g).reshape(c_in, window, out_length)
             gx = np.zeros(x_shape)
@@ -534,9 +519,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2) -> Tensor:
                 gx[:, k:k + span:stride] += per_tap[:, k, :]
         if windows is not None:
             gw = (g @ windows.reshape(c_in * window, out_length).T).reshape(w_shape)
-        if b_grad:
-            gb = g.sum(axis=1)
-        return gx, gw, gb
+        return gx, gw, g.sum(axis=1) if b_grad else None
 
     return _from_op(data, (x, w, b), grad_fn)
 
@@ -551,7 +534,6 @@ def layer_norm_residual(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Ten
     normalized in place, so the tape keeps only ``xhat``, the row scales and
     the gain; ``x`` and ``y`` receive the same gradient array.
     """
-    x, y, gain, bias = as_tensor(x), as_tensor(y), as_tensor(gain), as_tensor(bias)
     if x.shape != y.shape:
         raise ShapeError(f"residual shapes differ: {x.shape} vs {y.shape}")
     if x.data.ndim != 2 or x.shape[1] == 0:
@@ -588,7 +570,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     ``logits`` is [batch, classes] and ``labels`` holds [batch] integer
     class ids; any other labels, ragged lists too, raise LabelError.
     """
-    logits = as_tensor(logits)
     (z,) = _compute_arrays((logits,), frozen=np.float64)
     if z.ndim != 2:
         raise ShapeError(f"logits must be [batch, classes], got {logits.shape}")
@@ -670,21 +651,15 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while order:
         entry = order.pop()
-        g = grads.pop(id(entry), None)
+        g = grads.pop(id(entry))  # a consumer set it: the grad_fn contract
         if isinstance(entry, Tensor):
             # leaf: accumulate into the persistent grad slot
-            if g is not None:
-                entry.grad = g if entry.grad is None else entry.grad + g
+            entry.grad = g if entry.grad is None else entry.grad + g
             continue
-        if g is not None:
-            for parent, pg in zip(entry.parents, entry.grad_fn(g)):
-                if parent is None or pg is None:
-                    continue
+        for parent, pg in zip(entry.parents, entry.grad_fn(g)):
+            if parent is not None:
                 key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
+                grads[key] = grads[key] + pg if key in grads else pg
         entry.parents, entry.grad_fn = (), None
 
 

@@ -11,7 +11,7 @@ from aftx.container import (
     load_container,
     save_container,
 )
-from aftx.errors import FormatError, NotReal
+from aftx.errors import FormatError, NotReal, OutOfRange
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -112,6 +112,37 @@ def test_writer_rejects_non_real_arrays(tmp_path, arr):
     with pytest.raises(NotReal):
         save_container(path, [("a", np.zeros(2), True), ("b", arr, True)])
     assert path.read_bytes() == b"old"
+
+
+BEYOND_FLOAT64 = [np.array([2**53 + 1, 3]), np.array([-2**53 - 1]),
+                  np.array([2**64 - 1], dtype=np.uint64)]
+BEYOND_IDS = ["2**53+1", "-2**53-1", "uint64-max"]
+
+
+@pytest.mark.parametrize("arr", BEYOND_FLOAT64, ids=BEYOND_IDS)
+def test_writer_rejects_integers_that_float64_rounds(tmp_path, arr):
+    """[2**53 + 1, 3] was written, and read back as [2**53, 3.0]."""
+    path = tmp_path / "bad.aftx"
+    path.write_bytes(b"old")
+    with pytest.raises(OutOfRange, match="entry 'b'"):
+        save_container(path, [("a", np.zeros(2), True), ("b", arr, True)])
+    assert path.read_bytes() == b"old"
+
+
+@pytest.mark.parametrize("arr", BEYOND_FLOAT64, ids=BEYOND_IDS)
+def test_digest_rejects_integers_that_float64_rounds(arr):
+    """[2**53 + 1, 3] had the digest of [2**53, 3]."""
+    with pytest.raises(OutOfRange, match="entry 'a'"):
+        entries_digest([("a", arr, True)])
+
+
+def test_integers_within_2_53_round_trip(tmp_path):
+    arr = np.array([2**53, -2**53, 3], dtype=np.int64)
+    path = tmp_path / "ints.aftx"
+    save_container(path, [("a", arr, False)])
+    ((_, loaded, _),) = load_container(path)
+    assert loaded.dtype == np.float64 and np.array_equal(loaded.astype(np.int64), arr)
+    assert entries_digest([("a", arr, False)]) == entries_digest([("a", loaded, False)])
 
 
 def test_entries_read_at_offsets_and_writable(tmp_path):

@@ -43,7 +43,7 @@ def check_op(build_loss, arrays, seed):
             return build_loss(*args)
 
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        loss = build_loss(*tensors, as_tensors=True)
+        loss = build_loss(*tensors, with_tensors=True)
         backward(loss)
         numeric = numeric_gradient(scalar, arrays[idx])
         err = max_rel_error(tensors[idx].grad, numeric)
@@ -159,8 +159,8 @@ class TestElementwiseOps:
             a, b = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
             r = projection(rng, (4, 5))
 
-            def loss(a_, b_, as_tensors=False):
-                if as_tensors:
+            def loss(a_, b_, with_tensors=False):
+                if with_tensors:
                     return project(add(a_, b_), r)
                 return float(((a_ + b_) * r).sum())
 
@@ -173,8 +173,8 @@ class TestElementwiseOps:
             x = rng.uniform(0.1, 1.0, (4, 6)) * rng.choice([-1.0, 1.0], (4, 6))
             r = projection(rng, (4, 6))
 
-            def loss(x_, as_tensors=False):
-                if as_tensors:
+            def loss(x_, with_tensors=False):
+                if with_tensors:
                     return project(relu(x_), r)
                 return float((np.maximum(x_, 0.0) * r).sum())
 
@@ -243,8 +243,8 @@ class TestShapeOps:
             x = rng.standard_normal((2, 3, 4))
             r = projection(rng, (4, 6))
 
-            def loss(x_, as_tensors=False):
-                if as_tensors:
+            def loss(x_, with_tensors=False):
+                if with_tensors:
                     flat = reshape(transpose(x_, (2, 0, 1)), (4, 6))
                     return add(project(flat, r), tmean(tmean(tmean(x_, 1), 1), 0))
                 flat = x_.transpose(2, 0, 1).reshape(4, 6)
@@ -258,8 +258,8 @@ class TestShapeOps:
             a, b, c = (rng.standard_normal(5) for _ in range(3))
             r = projection(rng, (3, 5))
 
-            def loss(a_, b_, c_, as_tensors=False):
-                if as_tensors:
+            def loss(a_, b_, c_, with_tensors=False):
+                if with_tensors:
                     return project(stack([a_, b_, c_]), r)
                 return float((np.stack([a_, b_, c_]) * r).sum())
 
@@ -273,8 +273,8 @@ class TestSoftmaxFamily:
             logits = rng.standard_normal((6, 2))
             labels = rng.integers(0, 2, 6)
 
-            def loss(z_, as_tensors=False):
-                if as_tensors:
+            def loss(z_, with_tensors=False):
+                if with_tensors:
                     return softmax_cross_entropy(z_, labels)
                 shifted = z_ - z_.max(axis=1, keepdims=True)
                 lse = np.log(np.exp(shifted).sum(axis=1))
@@ -292,8 +292,8 @@ class TestConvGrad:
             b = rng.standard_normal(3)
             r = projection(rng, (3, 6))
 
-            def loss(x_, w_, b_, as_tensors=False):
-                if as_tensors:
+            def loss(x_, w_, b_, with_tensors=False):
+                if with_tensors:
                     return project(conv1d(x_, w_, b_, stride=2), r)
                 out = np.zeros((3, 6))
                 for o in range(3):
@@ -352,8 +352,8 @@ class TestNormGrad:
             arrays = _norm_operands(rng)
             r = projection(rng, (4, 6))
 
-            def loss(x_, y_, g_, b_, as_tensors=False):
-                if as_tensors:
+            def loss(x_, y_, g_, b_, with_tensors=False):
+                if with_tensors:
                     return project(layer_norm_residual(x_, y_, g_, b_), r)
                 return float((_layer_norm_numpy(x_, y_, g_, b_) * r).sum())
 
@@ -373,8 +373,8 @@ class TestAffineGrad:
             arrays = _affine_operands(rng, x_shape)
             r = projection(rng, x_shape[:-1] + (3,))
 
-            def loss(x_, w_, b_, as_tensors=False):
-                if as_tensors:
+            def loss(x_, w_, b_, with_tensors=False):
+                if with_tensors:
                     return project(linear(x_, w_, b_), r)
                 return float(((x_ @ w_ + b_) * r).sum())
 
@@ -427,8 +427,8 @@ class TestAttentionGrad:
             arrays = _mha_operands(rng)
             r = projection(rng, (3, 5))
 
-            def loss(*args, as_tensors=False):
-                if as_tensors:
+            def loss(*args, with_tensors=False):
+                if with_tensors:
                     return project(multi_head_attention(args[0], 2, *args[1:]), r)
                 return float((_mha_numpy(args[0], 2, *args[1:]) * r).sum())
 
@@ -442,8 +442,8 @@ class TestFeedForwardGrad:
             arrays = _ffn_operands(rng)
             r = projection(rng, (3, 5))
 
-            def loss(*args, as_tensors=False):
-                if as_tensors:
+            def loss(*args, with_tensors=False):
+                if with_tensors:
                     return project(feed_forward(*args), r)
                 return float((_ffn_numpy(*args) * r).sum())
 
@@ -459,8 +459,8 @@ class TestResidualNormGrad:
             gain, bias = rng.standard_normal(5), rng.standard_normal(5)
             r = projection(rng, (3, 5))
 
-            def loss(x_, s_, g_, b_, as_tensors=False):
-                if as_tensors:
+            def loss(x_, s_, g_, b_, with_tensors=False):
+                if with_tensors:
                     return project(layer_norm_residual(x_, s_, g_, b_), r)
                 y = x_ + s_
                 mu = y.mean(axis=-1, keepdims=True)

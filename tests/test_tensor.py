@@ -91,6 +91,8 @@ class TestShapeOpErrors:
         lambda x: transpose(x, (0, 0, 1)),
         lambda x: transpose(x, (0, 1)),
         lambda x: transpose(x, (0, 1, 3)),
+        lambda x: transpose(x, 1),
+        lambda x: transpose(x, None),
         lambda x: tmean(x, 3),
         lambda x: tmean(x, -4),
         lambda x: tmean(Tensor(np.zeros((0, 3))), 0),
@@ -103,9 +105,9 @@ class TestShapeOpErrors:
                                       Tensor(np.ones(24)), Tensor(np.zeros(24))),
         lambda x: layer_norm_residual(x, x, Tensor(np.ones(4)), Tensor(np.zeros(4))),
     ], ids=["reshape-size", "reshape-type", "transpose-repeat", "transpose-short",
-            "transpose-range", "tmean", "tmean-neg", "tmean-empty", "stack", "add-broadcast",
-            "feed_forward-rank1", "cross_entropy-rank1", "layer_norm-rank1",
-            "layer_norm-rank3"])
+            "transpose-range", "transpose-int", "transpose-none", "tmean", "tmean-neg",
+            "tmean-empty", "stack", "add-broadcast", "feed_forward-rank1",
+            "cross_entropy-rank1", "layer_norm-rank1", "layer_norm-rank3"])
     def test_shape_error(self, op):
         with pytest.raises(ShapeError):
             op(Tensor(np.zeros((2, 3, 4)), requires_grad=True))
@@ -129,13 +131,13 @@ class TestConv1d:
     def test_single_full_window(self):
         x = Tensor(np.ones((1, 3)))
         w = Tensor(np.ones((2, 1, 3)))
-        out = conv1d(x, w, np.zeros(2), stride=2)
+        out = conv1d(x, w, Tensor(np.zeros(2)), stride=2)
         assert out.shape == (2, 1)
 
     def test_out_length_formula(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 11)))
         w = Tensor(np.random.default_rng(1).standard_normal((4, 3, 3)))
-        assert conv1d(x, w, np.zeros(4), stride=2).shape == (4, 5)  # floor((11-3)/2)+1
+        assert conv1d(x, w, Tensor(np.zeros(4)), stride=2).shape == (4, 5)  # floor((11-3)/2)+1
 
     def test_zero_input_zero_bias(self):
         x = Tensor(np.zeros((2, 9)))
@@ -160,21 +162,21 @@ class TestConv1d:
 
     def test_too_short(self):
         with pytest.raises(InputTooShort):
-            conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))), np.zeros(1))
+            conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros(1)))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 3, 3))), np.zeros(1))
+            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 3, 3))), Tensor(np.zeros(1)))
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one(self, stride):
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), np.zeros(1),
+            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)),
                    stride=stride)
 
     def test_fractional_stride(self):
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), np.zeros(1),
+            conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)),
                    stride=1.5)
 
 
@@ -800,6 +802,17 @@ TAPE_OPS = [
 ]
 
 
+# The primitives of more than one operand, with their operands' shapes; an
+# op of one operand records a node only when that operand requires grad.
+MULTI_OPERAND_OPS = [
+    ("add", add, [(3, 4), (3, 4)]),
+    ("linear-1d", linear, [(4,), (4, 2), (2,)]),
+    ("linear-2d", linear, [(3, 4), (4, 2), (2,)]),
+    ("conv1d", lambda x, w, b: conv1d(x, w, b, stride=2), [(2, 9), (3, 2, 3), (3,)]),
+    ("stack", lambda *t: stack(list(t)), [(3,), (3,), (3,)]),
+]
+
+
 def _closure_objects(grad_fn):
     """Everything the closure cells of ``grad_fn`` hold, looking inside
     tuples and lists."""
@@ -847,6 +860,26 @@ class TestTapeContracts:
         g = rng.standard_normal(out.shape)
         g.flags.writeable = False
         assert len(out._node.grad_fn(g)) == len(out._node.parents)
+
+    @pytest.mark.parametrize("op, shapes", [case[1:] for case in MULTI_OPERAND_OPS],
+                             ids=[case[0] for case in MULTI_OPERAND_OPS])
+    def test_grad_fn_gives_each_entry_its_shape_or_none(self, op, shapes):
+        """The contract ``backward`` relies on, with each operand alone
+        requiring grad: ``grad_fn`` returns an array of the parent's shape for
+        the entry that is not None, and None for every None entry."""
+        rng = np.random.default_rng(0)
+        for trained in range(len(shapes)):
+            operands = [Tensor(rng.standard_normal(s), requires_grad=i == trained)
+                        for i, s in enumerate(shapes)]
+            out = op(*operands)
+            grads = out._node.grad_fn(rng.standard_normal(out.shape))
+            assert len(grads) == len(shapes)
+            for i, (entry, grad) in enumerate(zip(out._node.parents, grads)):
+                if i == trained:
+                    assert entry is operands[i]
+                    assert isinstance(grad, np.ndarray) and grad.shape == shapes[i]
+                else:
+                    assert entry is None and grad is None, (trained, i)
 
     def test_attention_tape_holds_no_frames_by_frames_node(self):
         """No closure of a multi-head attention graph saves an array as large
