@@ -35,6 +35,7 @@ from .errors import (
     UnknownKind,
     checked_seed,
     finite,
+    is_whole,
     real_array,
 )
 
@@ -61,16 +62,19 @@ class JudgeScores:
     judge_ids: list[str] = field(default_factory=list)
 
     def validate_schema(self) -> None:
-        """Enforce the corpus-schema invariants (judge count, score range)."""
+        """Enforce the corpus-schema invariants: a real [judges, clips] matrix
+        (ShapeError, NotReal) of finite scores (NonFinite), the judge count
+        and the score range (SchemaError)."""
+        what = f"trait {self.trait!r} scores [judges, clips]"
+        m = finite(real_array(self.matrix, what, ndim=2), what)
         expected = PERSONALITY_JUDGES if self.trait in TRAITS else EMOTION_JUDGES
-        judges = self.matrix.shape[0]
-        if judges != expected:
-            raise SchemaError(f"trait {self.trait!r} expects {expected} judges, got {judges}")
+        if m.shape[0] != expected:
+            raise SchemaError(f"trait {self.trait!r} expects {expected} judges, got {m.shape[0]}")
         if self.scale == FIVE_POINT:
-            if not np.isin(self.matrix, [1, 2, 3, 4, 5]).all():
+            if not np.isin(m, [1, 2, 3, 4, 5]).all():
                 raise SchemaError("five-point scores must lie in {1,...,5}")
         elif self.scale == CONTINUOUS:
-            if self.matrix.min() < -1.0 or self.matrix.max() > 1.0:
+            if m.size and (m.min() < -1.0 or m.max() > 1.0):
                 raise SchemaError("continuous scores must lie in [-1, 1]")
         else:
             raise UnknownKind(f"unknown scale {self.scale!r}")
@@ -190,8 +194,11 @@ def synthetic_judge_scores(planted: np.ndarray, num_judges: int, scale: str,
     """Judge scores = planted label + a fixed per-judge bias + noise.
 
     With zero noise every judge scores positives strictly above negatives, so
-    majority binarization recovers the planted labels exactly.
+    majority binarization recovers the planted labels exactly.  A judge
+    count that is not a positive whole number raises ShapeError.
     """
+    if not is_whole(num_judges) or num_judges < 1:
+        raise ShapeError(f"num_judges must be a positive whole number, got {num_judges!r}")
     n = len(planted)
     if scale == FIVE_POINT:
         bias = rng.integers(-1, 2, size=num_judges).astype(np.float64)

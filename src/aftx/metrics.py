@@ -95,12 +95,18 @@ def trait_pair_table(scores_5scale: dict[str, np.ndarray],
                      labels_2scale: dict[str, np.ndarray]) -> list[CorrelationEntry]:
     """All C(5,2)=10 unordered pairs of ``TRAITS`` with absolute-valued correlations.
 
-    ``scores_5scale[trait]`` is the per-clip mean judge score; undefined
-    correlations become None.
+    ``scores_5scale[trait]`` is the per-clip mean judge score and
+    ``labels_2scale[trait]`` the binary labels of the same clips: a trait
+    whose two differ in length raises ShapeError.  Undefined correlations
+    become None.
     """
     missing = [t for t in TRAITS if t not in scores_5scale or t not in labels_2scale]
     if missing:
         raise LabelError(f"missing traits: {missing}")
+    for t in TRAITS:
+        if len(scores_5scale[t]) != len(labels_2scale[t]):
+            raise ShapeError(f"trait {t!r}: {len(scores_5scale[t])} clip scores but "
+                             f"{len(labels_2scale[t])} labels")
     entries = []
     for a, b in combinations(TRAITS, 2):
         try:

@@ -42,12 +42,12 @@ are folded into the op that makes them (``linear``,
 ``layer_norm_residual``), so no pre-bias product or residual sum is made
 to be kept.  Each encoder sublayer is one op
 (``multi_head_attention``, ``feed_forward``) that keeps its input and
-recomputes its inner activations in the backward, by the same float
-operations as the forward, so they equal the forward's bit for bit:
-attention keeps only its input, its merged head outputs and each row's
-sum of exponentials, and recomputes the q, k and v projections and each
-head's [frames, frames] weights, one head at a time; the feed-forward
-keeps only its input and recomputes its hidden layer.
+recomputes its inner activations in the backward.  The feed-forward keeps
+only its input and recomputes its hidden layer by the forward's float
+operations, bit for bit.  Attention keeps its input, its merged head
+outputs and each row's log-sum-exp; it recomputes the q, k and v
+projections bit for bit, and each head's weights from the log-sum-exps,
+equal to rounding, over blocks of query rows (FlashAttention-2, Dao 2023).
 
 ``backward`` consumes the graph it walks: it releases each node's parents
 and closure once it has used them, so saved arrays are freed as the walk
@@ -302,18 +302,8 @@ def stack(tensors) -> Tensor:
     return _from_op(data, tuple(tensors), grad_fn)
 
 
-def _exp_scores_into(q: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(q kᵀ - rowmax) of one scaled [frames_q, d] query and [frames_k, d]
-    key slice, written into ``out`` [frames_q, frames_k] with no other array
-    of its size.  The max is computed each time; it is exact, so a backward's
-    recompute gives the forward's exponentials bit for bit."""
-    np.matmul(q, k.T, out=out)
-    np.subtract(out, out.max(axis=-1, keepdims=True), out=out)
-    return np.exp(out, out=out)
-
-
 def _attention_into(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
-                    row_sum: np.ndarray) -> None:
+                    lse: np.ndarray) -> None:
     """softmax(q kᵀ / sqrt(d)) v of each head (Vaswani et al. 2017, arXiv
     1706.03762) into ``out`` [heads, frames_q, d_v], from ``q`` [heads,
     frames_q, d], ``k`` [heads, frames_k, d] and ``v`` [heads, frames_k,
@@ -324,11 +314,11 @@ def _attention_into(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray
     It normalises after the value product, the deferred normalisation of
     FlashAttention (Dao et al. 2022, arXiv 2205.14135): each head's
     exp(s - rowmax) multiplies [v | 1], and the output is that product
-    divided by its last column, the row sums, which go into ``row_sum``
-    [heads, frames_q, 1] for a backward.  So no pass sums or divides the
-    [frames_q, frames_k] weights.  On one [498, 32] float32 head that takes
-    0.81 ms against 0.91 ms normalising first (best of 40 × 50, one BLAS
-    thread)."""
+    divided by its last column, the row sums l.  So no pass sums or divides
+    the [frames_q, frames_k] weights.  Each row's log-sum-exp, rowmax +
+    log(l), goes into ``lse`` [heads, frames_q, 1] for a backward.  On one
+    [498, 32] float32 head this takes 0.81 ms against 0.91 ms normalising
+    first (best of 40 × 50, one BLAS thread)."""
     q *= 1.0 / math.sqrt(q.shape[-1])
     d_v = v.shape[-1]
     p = np.empty((q.shape[-2], k.shape[-2]), dtype=q.dtype)
@@ -336,46 +326,56 @@ def _attention_into(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray
     p_v_one = np.empty((q.shape[-2], d_v + 1), dtype=q.dtype)
     for i in range(len(q)):
         v_one[:, :d_v] = v[i]
-        np.matmul(_exp_scores_into(q[i], k[i], p), v_one, out=p_v_one)
-        row_sum[i] = p_v_one[:, d_v:]
-        np.divide(p_v_one[:, :d_v], row_sum[i], out=out[i])
+        np.matmul(q[i], k[i].T, out=p)
+        row_max = p.max(axis=-1, keepdims=True)
+        np.matmul(np.exp(np.subtract(p, row_max, out=p), out=p), v_one, out=p_v_one)
+        np.divide(p_v_one[:, :d_v], p_v_one[:, d_v:], out=out[i])
+        np.add(np.log(p_v_one[:, d_v:], out=lse[i]), row_max, out=lse[i])
+
+
+_QUERY_BLOCK = 128  # query rows per block of the attention backward
 
 
 def _attention_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, out, g: np.ndarray,
-                     row_sum: np.ndarray):
+                     lse: np.ndarray):
     """The backward of ``_attention_into`` for the output gradient ``g``.  It
     writes q's and v's gradients over ``q`` and ``v``, and returns k's
-    gradient as a [heads, frames_k, d] view of a [heads, d, frames_k] array,
-    the layout of the qᵀ gs products it is made of.  Merged over heads it is
-    a column-major [frames_k, heads * d] view, and a reduction over it (such
-    as a key bias gradient) sums in that order, the order of the batched
-    formula.  ``out`` is the forward's output and ``row_sum`` its row sums.
+    gradient as a [heads, frames_k, d] view of a [frames_k, heads, d] array,
+    which merged over heads is a C-ordered [frames_k, heads * d] view, the
+    layout of the batched formula's merged copy.  ``out`` is the forward's
+    output and ``lse`` its row log-sum-exps.
 
-    Each head's exp(s - rowmax) is recomputed by the forward's float
-    operations, so it equals the forward's bit for bit, and divided by the
-    kept row sums to give the weights.  In the same loop over the heads,
-    each head's rowsum(g ∘ out), which equals rowsum((g vᵀ) ∘ weights) (Dao
-    et al. 2022), is taken through one reused [frames_q, d_v] buffer and
-    subtracted from g vᵀ.  Each head overwrites its slice of v once its
-    score gradient has read it, and of q once k's gradient has read the
-    scaled queries."""
+    The backward of FlashAttention-2 (Dao 2023, arXiv 2307.08691), one head
+    at a time over blocks of ``_QUERY_BLOCK`` query rows (the last may be
+    short), so its scratch is two [block, frames_k] arrays.  The row
+    constants are folded into the products: a block's weights are p =
+    exp([q | -lse] [k | 1]ᵀ) and its score gradient gs = ([g | -D] [v | 1]ᵀ)
+    ∘ p, where D = rowsum(g ∘ out) equals rowsum((g vᵀ) ∘ p) (Dao et al.
+    2022).  So each block makes two elementwise passes, exp and multiply.
+    v's and k's gradients sum pᵀ g and gsᵀ q over the blocks, and q's is gs
+    k, block by block."""
     scale = 1.0 / math.sqrt(q.shape[-1])
+    (heads, frames_q, d), (frames_k, d_v) = q.shape, v.shape[-2:]
+    q_lse, k_one = np.empty((frames_q, d + 1)), np.ones((frames_k, d + 1))
+    g_d, v_one = np.empty((frames_q, d_v + 1)), np.ones((frames_k, d_v + 1))
+    p = np.empty((min(_QUERY_BLOCK, frames_q), frames_k))
+    gs, gk = np.empty_like(p), np.zeros((frames_k, heads, d))
+    for i in range(heads):
+        np.multiply(q[i], scale, out=q_lse[:, :d])
+        np.negative(lse[i], out=q_lse[:, d:])
+        np.multiply(g[i], out[i], out=g_d[:, :d_v])
+        np.negative(g_d[:, :d_v].sum(axis=-1, keepdims=True), out=g_d[:, d_v:])
+        g_d[:, :d_v], k_one[:, :d], v_one[:, :d_v] = g[i], k[i], v[i]
+        v[i] = 0.0  # v's gradient is summed over the blocks in its place
+        for r in range(0, frames_q, _QUERY_BLOCK):
+            rows, n = slice(r, r + _QUERY_BLOCK), min(_QUERY_BLOCK, frames_q - r)
+            np.exp(np.matmul(q_lse[rows], k_one.T, out=p[:n]), out=p[:n])
+            np.multiply(np.matmul(g_d[rows], v_one.T, out=gs[:n]), p[:n], out=gs[:n])
+            v[i] += p[:n].T @ g[i, rows]
+            gk[:, i] += gs[:n].T @ q_lse[rows, :d]
+            np.matmul(gs[:n], k[i], out=q[i, rows])
     q *= scale
-    gs = np.empty((q.shape[-2], k.shape[-2]))
-    gk = np.empty((len(q), q.shape[-1], k.shape[-2]))
-    p, prod = np.empty((q.shape[-2], k.shape[-2])), np.empty(out.shape[-2:])
-    for i in range(len(q)):
-        _exp_scores_into(q[i], k[i], p)
-        p /= row_sum[i]
-        np.matmul(g[i], v[i].T, out=gs)
-        np.multiply(g[i], out[i], out=prod)
-        gs -= prod.sum(axis=-1, keepdims=True)
-        gs *= p
-        np.matmul(p.T, g[i], out=v[i])
-        np.matmul(q[i].T, gs, out=gk[i])
-        np.matmul(gs, k[i], out=q[i])
-    q *= scale
-    return np.swapaxes(gk, -1, -2)
+    return gk.transpose(1, 0, 2)
 
 
 def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: Tensor,
@@ -390,13 +390,13 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     head_dim] array, which is also the output projection's input.  Taped
     or frozen, each head normalises after its value product
     (``_attention_into``); only the dtype differs (the module docstring's
-    rule).  The node keeps ``x``, the merged outputs and each row's sum
-    [heads, frames, 1].  Its backward recomputes q, k and v with
-    ``linear``'s float operations and each head's exp(s - rowmax), divides
-    that by the row sums, and writes q's and v's gradients over the
-    recomputed q and v head by head.  Its parents are (x, wq, bq, x, wk,
-    bk, x, wv, bv, wo, bo), so x's three projection gradients are summed
-    in the order q, k, v.
+    rule).  The node keeps ``x``, the merged outputs and each row's
+    log-sum-exp [heads, frames, 1].  Its backward recomputes q, k and v
+    with ``linear``'s float operations, and then each head's weights from
+    the log-sum-exps, a block of query rows at a time (``_attention_grads``),
+    writing q's and v's gradients over the recomputed q and v.  Its parents
+    are (x, wq, bq, x, wk, bk, x, wv, bv, wo, bo), so x's three projection
+    gradients are summed in the order q, k, v.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"attention expects x [frames, dim], got {x.shape}")
@@ -419,8 +419,8 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     x2, *proj, wo_data, bo_data = _compute_arrays((x, wq, bq, wk, bk, wv, bv, wo, bo))
     proj = list(zip(proj[::2], proj[1::2]))
     merged = np.empty((frames, dim), dtype=x2.dtype)
-    row_sum = np.empty((num_heads, frames, 1), dtype=x2.dtype)
-    _attention_into(*(split(_affine(x2, w, b)) for w, b in proj), split(merged), row_sum)
+    lse = np.empty((num_heads, frames, 1), dtype=x2.dtype)
+    _attention_into(*(split(_affine(x2, w, b)) for w, b in proj), split(merged), lse)
     data = _affine(merged, wo_data, bo_data)
 
     flags = [(x.requires_grad, w.requires_grad, b.requires_grad) for w, b in projections]
@@ -429,7 +429,7 @@ def multi_head_attention(x: Tensor, num_heads: int, wq: Tensor, bq: Tensor, wk: 
     def grad_fn(g):
         projected = [_affine(x2, w, b) for w, b in proj]
         gk = _attention_grads(*(split(a) for a in projected), split(merged),
-                              split(g @ wo_data.T), row_sum)
+                              split(g @ wo_data.T), lse)
         projected[1] = gk.transpose(1, 0, 2).reshape(frames, dim)  # a view, not a copy
         grads = [grad for gp, (w, _), f in zip(projected, proj, flags)
                  for grad in _linear_grads(gp, x2, w, f)]

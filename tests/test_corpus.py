@@ -312,6 +312,22 @@ class TestSchemaErrors:
             scores_from_matrix(np.full((judges, 4), score), trait=trait,
                                scale=scale).validate_schema()
 
+    def test_validate_schema_rejects_nan_scores(self):
+        """NaN fails every comparison, so the range test alone passed it."""
+        with pytest.raises(NonFinite):
+            JudgeScores(np.full((6, 2), np.nan), CONTINUOUS, "arousal").validate_schema()
+
+    def test_validate_schema_rejects_a_1d_matrix(self):
+        """Eleven scores in one row are not an [11, clips] matrix, though
+        their length is the judge count."""
+        with pytest.raises(ShapeError):
+            JudgeScores(np.ones(11), FIVE_POINT, "EX").validate_schema()
+
+    @pytest.mark.parametrize("num_judges", [0, -1, 2.0, True])
+    def test_synthetic_judge_count_not_positive_whole(self, num_judges):
+        with pytest.raises(ShapeError):
+            judge_scores(planted_labels(4, 0), num_judges=num_judges)
+
     @pytest.mark.parametrize("field, value", [("scale", "seven_point")])
     def test_synthetic_unknown_kind(self, field, value):
         with pytest.raises(UnknownKind):

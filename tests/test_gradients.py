@@ -11,6 +11,7 @@ import pytest
 
 from aftx.layers import feed_forward, multi_head_attention
 from aftx.tensor import (
+    _QUERY_BLOCK,
     Tensor,
     _attention_grads,
     _attention_into,
@@ -82,11 +83,23 @@ def _attention_numpy(q, k, v):
     return np.matmul(e / e.sum(axis=-1, keepdims=True), v)
 
 
-def _attention_operands(rng):
-    """q [2, 3, 4], k [2, 5, 4], v [2, 5, 3]: query and key frame counts and
-    the key and value widths all differ, so a swapped axis cannot pass."""
-    return [rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 5, 4)),
-            rng.standard_normal((2, 5, 3))]
+def _attention_operands(rng, frames_q=3, frames_k=5, d=4, d_v=3, heads=2):
+    """q [heads, frames_q, d], k [heads, frames_k, d], v [heads, frames_k,
+    d_v]: by default the query and key frame counts and the key and value
+    widths all differ, so a swapped axis cannot pass."""
+    return [rng.standard_normal((heads, frames_q, d)), rng.standard_normal((heads, frames_k, d)),
+            rng.standard_normal((heads, frames_k, d_v))]
+
+
+def _attention_helpers(q, k, v, g):
+    """The q, k and v gradients of the attention helpers for the output
+    gradient ``g``, from copies of the operands."""
+    q, k, v = q.copy(), k.copy(), v.copy()
+    out = np.empty(g.shape)
+    lse = np.empty(g.shape[:-1] + (1,))
+    _attention_into(q.copy(), k, v, out, lse)
+    gk = _attention_grads(q, k, v, out, g, lse)
+    return q, gk, v
 
 
 def _mha_operands(rng):
@@ -400,19 +413,19 @@ def _mha_numpy(x, num_heads, wq, bq, wk, bk, wv, bv, wo, bo):
 
 
 class TestAttentionGrad:
-    def test_attention_all_operands(self):
+    @pytest.mark.parametrize("shape, instances", [
+        ({}, N_INSTANCES),
+        ({"frames_q": 2 * _QUERY_BLOCK + 3, "d": 2, "d_v": 2}, 3),
+    ], ids=["one-block", "three-blocks"])
+    def test_attention_all_operands(self, shape, instances):
         """The attention helpers' q, k and v gradients against the oracle, at
         unequal query and key frame counts and widths, which self-attention
-        never has."""
+        never has; and over two whole blocks of query rows and a short
+        third, so that k's and v's gradients sum over blocks."""
         def case(rng, seed):
-            arrays = _attention_operands(rng)
-            r = projection(rng, (2, 3, 3))
-            q, k, v = (a.copy() for a in arrays)
-            out = np.empty(r.shape)
-            row_sum = np.empty((2, 3, 1))
-            _attention_into(q.copy(), k, v, out, row_sum)
-            gk = _attention_grads(q, k, v, out, r, row_sum)
-            for idx, got in enumerate((q, gk, v)):
+            arrays = _attention_operands(rng, **shape)
+            r = projection(rng, arrays[0].shape[:-1] + arrays[2].shape[-1:])
+            for idx, got in enumerate(_attention_helpers(*arrays, r)):
                 def scalar(perturbed, idx=idx):
                     args = list(arrays)
                     args[idx] = perturbed
@@ -420,7 +433,37 @@ class TestAttentionGrad:
 
                 err = max_rel_error(got, numeric_gradient(scalar, arrays[idx]))
                 assert err < TOL, f"seed {seed}, arg {idx}: rel err {err:.2e}"
-        run_instances(case)
+        for seed in range(instances):
+            case(np.random.default_rng(seed), seed)
+
+    @pytest.mark.parametrize("frames_q", [1, _QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1,
+                                          2 * _QUERY_BLOCK + 3])
+    def test_blocks_agree_with_the_batched_backward(self, frames_q):
+        """The blocked backward agrees with the whole-array float64 formulas,
+        softmax weights p and score gradient p ∘ (g vᵀ - rowsum(g ∘ out)),
+        within 1e-13 of each gradient's largest magnitude, at query frame
+        counts on either side of a block's edge."""
+        rng = np.random.default_rng(frames_q)
+        q, k, v = _attention_operands(rng, frames_q=frames_q, frames_k=9)
+        g = rng.standard_normal((2, frames_q, 3))
+        qs = q / np.sqrt(q.shape[-1])
+        e = np.matmul(qs, np.swapaxes(k, -1, -2))
+        e = np.exp(e - e.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        out = np.matmul(p, v)
+        gs = p * (np.matmul(g, np.swapaxes(v, -1, -2)) - (g * out).sum(axis=-1, keepdims=True))
+        expected = (np.matmul(gs, k) / np.sqrt(q.shape[-1]),
+                    np.matmul(np.swapaxes(gs, -1, -2), qs), np.matmul(np.swapaxes(p, -1, -2), g))
+        for got, want in zip(_attention_helpers(q, k, v, g), expected):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_no_query_frames(self):
+        """With no query rows, the blocks are none: the output and q's
+        gradient are empty, and k's and v's gradients are zero."""
+        q, k, v = _attention_operands(np.random.default_rng(0), frames_q=0)
+        gq, gk, gv = _attention_helpers(q, k, v, np.empty((2, 0, 3)))
+        assert gq.shape == q.shape
+        assert np.array_equal(gk, np.zeros(k.shape)) and np.array_equal(gv, np.zeros(v.shape))
 
     def test_mha_all_arguments(self):
         def case(rng, seed):

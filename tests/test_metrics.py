@@ -295,6 +295,13 @@ class TestTraitPairTable:
         with pytest.raises(KeyError):
             trait_pair_table(scores, labels)
 
+    def test_trait_with_fewer_labels_than_scores_rejected(self):
+        """Each trait's Pearson and phi must read the same clips."""
+        scores, labels = self.synthetic_tables(seed=7, n=4)
+        labels = {t: y[:3] for t, y in labels.items()}
+        with pytest.raises(ShapeError, match="'EX'"):
+            trait_pair_table(scores, labels)
+
     def test_missing_label_is_label_error(self):
         scores, labels = self.synthetic_tables(seed=6)
         del labels["NE"]

@@ -103,9 +103,9 @@ def test_attention_bit_identical_across_layouts(frames_q, frames_k, heads, d, d_
     results = []
     for layout in (lambda b: b.copy().transpose(1, 0, 2), lambda b: b.transpose(1, 0, 2).copy()):
         q, k, v, g, out = (layout(b) for b in bases)
-        row_sum = np.empty((heads, frames_q, 1))
-        _attention_into(q.copy(order="K"), k, v, out, row_sum)
-        gk = _attention_grads(q, k, v, out, g, row_sum)
+        lse = np.empty((heads, frames_q, 1))
+        _attention_into(q.copy(order="K"), k, v, out, lse)
+        gk = _attention_grads(q, k, v, out, g, lse)
         results.append([out, q, gk, v])
     for got, expected in zip(*results):
         if min(frames_q, frames_k, d, d_v) >= 2:
