@@ -74,7 +74,7 @@ class JudgeScores:
             if not np.isin(m, [1, 2, 3, 4, 5]).all():
                 raise SchemaError("five-point scores must lie in {1,...,5}")
         elif self.scale == CONTINUOUS:
-            if m.size and (m.min() < -1.0 or m.max() > 1.0):
+            if m.min() < -1.0 or m.max() > 1.0:
                 raise SchemaError("continuous scores must lie in [-1, 1]")
         else:
             raise UnknownKind(f"unknown scale {self.scale!r}")

@@ -83,12 +83,12 @@ def _attention_numpy(q, k, v):
     return np.matmul(e / e.sum(axis=-1, keepdims=True), v)
 
 
-def _attention_operands(rng, frames_q=3, frames_k=5, d=4, d_v=3, heads=2):
-    """q [heads, frames_q, d], k [heads, frames_k, d], v [heads, frames_k,
-    d_v]: by default the query and key frame counts and the key and value
-    widths all differ, so a swapped axis cannot pass."""
-    return [rng.standard_normal((heads, frames_q, d)), rng.standard_normal((heads, frames_k, d)),
-            rng.standard_normal((heads, frames_k, d_v))]
+def _attention_operands(rng, frames_q=3, frames_k=5, d=4, d_v=3):
+    """q [2, frames_q, d], k [2, frames_k, d], v [2, frames_k, d_v]: by
+    default the query and key frame counts and the key and value widths all
+    differ, so a swapped axis cannot pass."""
+    return [rng.standard_normal((2, frames_q, d)), rng.standard_normal((2, frames_k, d)),
+            rng.standard_normal((2, frames_k, d_v))]
 
 
 def _attention_helpers(q, k, v, g):
@@ -160,8 +160,8 @@ def check_partial_equals_full(op, shapes, trained):
                     (want.dtype, want.shape, want.tobytes()), f"seed {seed}, parent {idx}"
 
 
-def run_instances(make_case):
-    for seed in range(N_INSTANCES):
+def run_instances(make_case, count=N_INSTANCES):
+    for seed in range(count):
         rng = np.random.default_rng(seed)
         make_case(rng, seed)
 
@@ -433,8 +433,7 @@ class TestAttentionGrad:
 
                 err = max_rel_error(got, numeric_gradient(scalar, arrays[idx]))
                 assert err < TOL, f"seed {seed}, arg {idx}: rel err {err:.2e}"
-        for seed in range(instances):
-            case(np.random.default_rng(seed), seed)
+        run_instances(case, instances)
 
     @pytest.mark.parametrize("frames_q", [1, _QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1,
                                           2 * _QUERY_BLOCK + 3])
