@@ -37,9 +37,16 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
     ``load_container`` would reject: a non-string or repeated name, or a
     non-bool trainable flag; ShapeError for a ragged array; and, for data
     which a float64 cast would change, NotReal for complex, string or object
-    data and OutOfRange for an integer beyond ±2**53.
+    data and OutOfRange for an integer beyond ±2**53; and FormatError,
+    naming the sidecar's path, for a ``sidecar`` that is not strict JSON
+    (a numpy scalar, NaN or infinity).
     """
     path = Path(path)
+    if sidecar is not None:
+        try:
+            meta = json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{sidecar_path(path)}: sidecar is not JSON: {exc}") from exc
     manifest = []
     payloads = []
     offset = 0
@@ -61,8 +68,7 @@ def save_container(path, entries: list[Entry], sidecar: dict | None = None) -> N
         for payload in payloads:
             fh.write(payload)
     if sidecar is not None:
-        sidecar_path(path).write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        sidecar_path(path).write_text(meta, encoding="utf-8")
 
 
 def load_container(path) -> list[Entry]:

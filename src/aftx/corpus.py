@@ -63,10 +63,9 @@ class JudgeScores:
 
     def validate_schema(self) -> None:
         """Enforce the corpus-schema invariants: a real [judges, clips] matrix
-        (ShapeError, NotReal) of finite scores (NonFinite), the judge count
-        and the score range (SchemaError)."""
-        what = f"trait {self.trait!r} scores [judges, clips]"
-        m = finite(real_array(self.matrix, what, ndim=2), what)
+        (ShapeError, NotReal) of finite scores (NonFinite), with a judge and
+        a clip, the judge count and the score range (SchemaError)."""
+        m = _score_matrix(self)
         expected = PERSONALITY_JUDGES if self.trait in TRAITS else EMOTION_JUDGES
         if m.shape[0] != expected:
             raise SchemaError(f"trait {self.trait!r} expects {expected} judges, got {m.shape[0]}")
@@ -78,6 +77,17 @@ class JudgeScores:
                 raise SchemaError("continuous scores must lie in [-1, 1]")
         else:
             raise UnknownKind(f"unknown scale {self.scale!r}")
+
+
+def _score_matrix(scores: JudgeScores) -> np.ndarray:
+    """The scores' matrix, if it is a real [judges, clips] array (ShapeError,
+    NotReal) of finite scores (NonFinite) with a judge and a clip
+    (SchemaError)."""
+    what = f"trait {scores.trait!r} scores [judges, clips]"
+    m = finite(real_array(scores.matrix, what, ndim=2), what)
+    if 0 in m.shape:
+        raise SchemaError(f"{what} of shape {m.shape} have no judges or no clips")
+    return m
 
 
 @dataclass
@@ -98,10 +108,7 @@ def binarize_majority(scores: JudgeScores) -> np.ndarray:
     A matrix that is ragged or not [judges, clips] raises ShapeError, not
     real NotReal, empty SchemaError, and a NaN or infinite score NonFinite.
     """
-    what = f"trait {scores.trait!r} scores [judges, clips]"
-    m = finite(real_array(scores.matrix, what, ndim=2), what)
-    if 0 in m.shape:
-        raise SchemaError(f"{what} of shape {m.shape} have no judges or no clips")
+    m = _score_matrix(scores)
     reference = m.mean(axis=1, keepdims=True)   # one mean per judge
     votes = (m > reference).sum(axis=0)
     return (votes >= m.shape[0] // 2 + 1).astype(np.int8)
@@ -224,14 +231,32 @@ def synthetic_judge_scores(planted: np.ndarray, num_judges: int, scale: str,
 # ---------------------------------------------------------------------------
 
 def write_scores_csv(path, scores_by_trait: dict[str, JudgeScores]) -> None:
+    """One ``clip_id,judge_id,trait,score`` row per score, the traits in
+    sorted order.  Before the file is opened, a trait outside ``TRAITS`` and
+    ``DIMENSIONS`` raises FormatError, a matrix that is not a real [judges,
+    clips] array ShapeError or NotReal, one whose shape is not the count of
+    judge ids by the count of clip ids ShapeError, and a non-finite score
+    NonFinite: each is a table that ``read_scores_csv`` would reject or
+    read otherwise."""
+    tables = []
+    for trait in sorted(scores_by_trait):
+        if trait not in TRAITS + DIMENSIONS:
+            raise FormatError(f"{path}: unknown trait {trait!r}; "
+                              f"expected one of {TRAITS + DIMENSIONS}")
+        sc = scores_by_trait[trait]
+        what = f"{path}: trait {trait!r} scores [judges, clips]"
+        m = finite(real_array(sc.matrix, what, ndim=2), what)
+        if m.shape != (len(sc.judge_ids), len(sc.clip_ids)):
+            raise ShapeError(f"{what} of shape {m.shape} for {len(sc.judge_ids)} judge ids "
+                             f"and {len(sc.clip_ids)} clip ids")
+        tables.append((trait, sc, m))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["clip_id", "judge_id", "trait", "score"])
-        for trait in sorted(scores_by_trait):
-            sc = scores_by_trait[trait]
+        for trait, sc, m in tables:
             for j, judge in enumerate(sc.judge_ids):
                 for c, cid in enumerate(sc.clip_ids):
-                    writer.writerow([cid, judge, trait, repr(float(sc.matrix[j, c]))])
+                    writer.writerow([cid, judge, trait, repr(float(m[j, c]))])
 
 
 # one record per scores-CSV row: codes into the trait, judge and clip id

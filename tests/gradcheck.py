@@ -32,7 +32,3 @@ def max_rel_error(analytic, numeric):
     denom = np.maximum(1.0, np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom))
 
-
-def projection(rng, shape):
-    """Fixed random projection turning an array output into a scalar loss."""
-    return rng.standard_normal(shape)

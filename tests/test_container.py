@@ -46,6 +46,17 @@ def test_sidecar_round_trip(tmp_path):
     assert meta == {"clip_id": "c001", "kind": "frequency", "seed": 7}
 
 
+@pytest.mark.parametrize("sidecar", [{"seed": np.int64(7)}, {"x": float("nan")},
+                                     {"x": float("inf")}], ids=["numpy_int", "nan", "inf"])
+def test_writer_rejects_a_sidecar_that_is_not_json(tmp_path, sidecar):
+    """A numpy integer raised json's bare TypeError after the container was
+    written, and NaN was written as ``NaN``, which is not JSON."""
+    path = tmp_path / "spec.aftx"
+    with pytest.raises(FormatError, match=r"spec\.aftx\.json"):
+        save_container(path, [("a", np.zeros(2), True)], sidecar=sidecar)
+    assert not path.exists() and not (tmp_path / "spec.aftx.json").exists()
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.aftx"
     path.write_bytes(b"WRONG" + b"\x00" * 16)

@@ -323,6 +323,16 @@ class TestSchemaErrors:
         with pytest.raises(ShapeError):
             JudgeScores(np.ones(11), FIVE_POINT, "EX").validate_schema()
 
+    @pytest.mark.parametrize("shape, scale, trait", [
+        ((6, 0), CONTINUOUS, "arousal"),
+        ((11, 0), FIVE_POINT, "EX"),
+    ], ids=["continuous", "five-point"])
+    def test_validate_schema_rejects_a_matrix_with_no_clips(self, shape, scale, trait):
+        """As ``binarize_majority`` does: the continuous range test's min()
+        raised numpy's bare ValueError, and the five-point test passed."""
+        with pytest.raises(SchemaError):
+            JudgeScores(np.zeros(shape), scale, trait).validate_schema()
+
     @pytest.mark.parametrize("num_judges", [0, -1, 2.0, True])
     def test_synthetic_judge_count_not_positive_whole(self, num_judges):
         with pytest.raises(ShapeError):
@@ -349,6 +359,26 @@ class TestCsvRoundTrips:
             np.testing.assert_array_equal(loaded[trait].matrix, by_trait[trait].matrix)
             assert loaded[trait].clip_ids == by_trait[trait].clip_ids
             assert loaded[trait].scale == FIVE_POINT
+
+    @pytest.mark.parametrize("trait, matrix, clips, error", [
+        ("EX", np.full((11, 5), 3.0), 3, ShapeError),
+        ("EX", np.full((11, 5), 3.0), 7, ShapeError),
+        ("EX", np.full(5, 3.0), 5, ShapeError),
+        ("EX", np.full((11, 5), np.nan), 5, NonFinite),
+        ("XX", np.full((11, 5), 3.0), 5, FormatError),
+    ], ids=["fewer_clip_ids", "more_clip_ids", "1d", "nan", "unknown_trait"])
+    def test_writer_rejects_what_the_reader_rejects(self, tmp_path, trait, matrix, clips, error):
+        """With 3 clip ids, an [11, 5] matrix was written as an 11 x 3 table;
+        with 7, numpy's IndexError came after 95 bytes; and a trait the
+        reader rejects was written.  Now nothing is written, not even the
+        valid table that sorts first."""
+        good = scores_from_matrix(np.full((11, 5), 4.0), trait="AG")
+        bad = JudgeScores(matrix, FIVE_POINT, trait, clip_ids=[f"c{i}" for i in range(clips)],
+                          judge_ids=good.judge_ids)
+        path = tmp_path / "scores.csv"
+        with pytest.raises(error):
+            write_scores_csv(path, {"AG": good, trait: bad})
+        assert not path.exists()
 
     @pytest.mark.parametrize("rows", [
         ["c1,j1,EX,3", "c2,j1,EX,4", "c1,j1,EX,5"],     # duplicate cell

@@ -42,6 +42,7 @@ from aftx.tensor import (
 )
 
 from scalar_loss import project
+from tape_ops import NAMES, TAPE_OPS, call, operands
 
 LN2 = 0.6931471805599453
 
@@ -238,12 +239,6 @@ def _assert_frozen_agrees_with_taped(op, shapes, seed):
     _assert_within_frozen_bound(frozen.data, taped.data)
 
 
-def _assert_one_grad_operand_gives_the_taped_output(op, shapes, operand):
-    arrays = _encoder_arrays(0, shapes)
-    one = _call(op, arrays, [i == operand for i in range(len(arrays))])
-    assert np.array_equal(one.data, _call(op, arrays, [True] * len(arrays)).data)
-
-
 class TestMultiHeadAttention:
     @FROZEN_OR_TAPED
     def test_single_frame_is_value_projection(self, taped):
@@ -266,10 +261,6 @@ class TestMultiHeadAttention:
     @pytest.mark.parametrize("seed", range(3))
     def test_frozen_agrees_with_taped_on_encoder_shapes(self, seed):
         _assert_frozen_agrees_with_taped(_mha4, MHA_SHAPES, seed)
-
-    @pytest.mark.parametrize("operand", range(9))
-    def test_one_grad_operand_gives_the_taped_output(self, operand):
-        _assert_one_grad_operand_gives_the_taped_output(_mha4, MHA_SHAPES, operand)
 
     def test_head_mismatch(self):
         x = Tensor(np.zeros((2, 6)))
@@ -423,10 +414,6 @@ class TestFeedForward:
     @pytest.mark.parametrize("seed", range(3))
     def test_frozen_agrees_with_taped_on_encoder_shapes(self, seed):
         _assert_frozen_agrees_with_taped(feed_forward, FFN_SHAPES, seed)
-
-    @pytest.mark.parametrize("operand", range(5))
-    def test_one_grad_operand_gives_the_taped_output(self, operand):
-        _assert_one_grad_operand_gives_the_taped_output(feed_forward, FFN_SHAPES, operand)
 
 
 def _zeros_like(x):
@@ -790,39 +777,6 @@ def _leaf(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
-# One forward per recorded op, every operand requiring grad.
-TAPE_OPS = [
-    ("add", lambda r: add(_leaf(r, 3, 4), _leaf(r, 3, 4))),
-    ("relu", lambda r: relu(_leaf(r, 3, 4))),
-    ("reshape", lambda r: reshape(_leaf(r, 3, 4), (4, 3))),
-    ("transpose", lambda r: transpose(_leaf(r, 2, 3, 4), (1, 0, 2))),
-    ("tmean", lambda r: tmean(_leaf(r, 3, 4), 1)),
-    ("stack", lambda r: stack([_leaf(r, 3), _leaf(r, 3)])),
-    ("multi_head_attention", lambda r: multi_head_attention(
-        _leaf(r, 5, 4), 2, *(_leaf(r, 4, 4) if i % 2 == 0 else _leaf(r, 4) for i in range(6)),
-        _leaf(r, 4, 3), _leaf(r, 3))),
-    ("feed_forward", lambda r: feed_forward(_leaf(r, 3, 4), _leaf(r, 4, 6), _leaf(r, 6),
-                                            _leaf(r, 6, 2), _leaf(r, 2))),
-    ("conv1d", lambda r: conv1d(_leaf(r, 2, 9), _leaf(r, 3, 2, 3), _leaf(r, 3), stride=2)),
-    ("layer_norm_residual", lambda r: layer_norm_residual(_leaf(r, 3, 4), _leaf(r, 3, 4),
-                                                          _leaf(r, 4), _leaf(r, 4))),
-    ("linear", lambda r: linear(_leaf(r, 3, 4), _leaf(r, 4, 2), _leaf(r, 2))),
-    ("linear", lambda r: linear(_leaf(r, 4), _leaf(r, 4, 2), _leaf(r, 2))),
-    ("softmax_cross_entropy", lambda r: softmax_cross_entropy(_leaf(r, 3, 2), [0, 1, 1])),
-]
-
-
-# The primitives of more than one operand, with their operands' shapes; an
-# op of one operand records a node only when that operand requires grad.
-MULTI_OPERAND_OPS = [
-    ("add", add, [(3, 4), (3, 4)]),
-    ("linear-1d", linear, [(4,), (4, 2), (2,)]),
-    ("linear-2d", linear, [(3, 4), (4, 2), (2,)]),
-    ("conv1d", lambda x, w, b: conv1d(x, w, b, stride=2), [(2, 9), (3, 2, 3), (3,)]),
-    ("stack", lambda *t: stack(list(t)), [(3,), (3,), (3,)]),
-]
-
-
 def _closure_objects(grad_fn):
     """Everything the closure cells of ``grad_fn`` hold, looking inside
     tuples and lists."""
@@ -853,43 +807,38 @@ def _graph(out):
 
 
 class TestTapeContracts:
-    """The backward may hand one gradient array to several parents (``add``,
-    ``reshape`` and ``transpose`` return it or a view of it), so no
-    ``grad_fn`` may write into the gradient it receives."""
+    """What a recorded op's node keeps and what its ``grad_fn`` may do.  The
+    first three tests run over ``tape_ops.TAPE_OPS``, every operand
+    requiring grad, and check that it holds every recorded op; the rest
+    measure what the sublayers save."""
 
     def test_every_recorded_op_is_covered(self):
         recorded = {name for name, fn in inspect.getmembers(tensor, inspect.isfunction)
                     if fn.__module__ == tensor.__name__ and name != "_from_op"
                     and "_from_op(" in inspect.getsource(fn)}
-        assert recorded == {name for name, _ in TAPE_OPS}
+        assert recorded == {row.function for row in TAPE_OPS}
 
-    @pytest.mark.parametrize("build", [b for _, b in TAPE_OPS], ids=[n for n, _ in TAPE_OPS])
-    def test_grad_fn_never_writes_upstream_gradient(self, build):
+    @pytest.mark.parametrize("row", TAPE_OPS, ids=NAMES)
+    def test_grad_fn_never_writes_upstream_gradient(self, row):
+        """The backward may hand one gradient array to several parents
+        (``add``, ``reshape`` and ``transpose`` return it or a view of it),
+        so no ``grad_fn`` may write into the gradient it receives."""
         rng = np.random.default_rng(0)
-        out = build(rng)
+        arrays = operands(row, rng, 3)
+        out = call(row, arrays, range(len(arrays)))
         g = rng.standard_normal(out.shape)
         g.flags.writeable = False
         assert len(out._node.grad_fn(g)) == len(out._node.parents)
 
-    @pytest.mark.parametrize("op, shapes", [case[1:] for case in MULTI_OPERAND_OPS],
-                             ids=[case[0] for case in MULTI_OPERAND_OPS])
-    def test_grad_fn_gives_each_entry_its_shape_or_none(self, op, shapes):
-        """The contract ``backward`` relies on, with each operand alone
-        requiring grad: ``grad_fn`` returns an array of the parent's shape for
-        the entry that is not None, and None for every None entry."""
-        rng = np.random.default_rng(0)
-        for trained in range(len(shapes)):
-            operands = [Tensor(rng.standard_normal(s), requires_grad=i == trained)
-                        for i, s in enumerate(shapes)]
-            out = op(*operands)
-            grads = out._node.grad_fn(rng.standard_normal(out.shape))
-            assert len(grads) == len(shapes)
-            for i, (entry, grad) in enumerate(zip(out._node.parents, grads)):
-                if i == trained:
-                    assert entry is operands[i]
-                    assert isinstance(grad, np.ndarray) and grad.shape == shapes[i]
-                else:
-                    assert entry is None and grad is None, (trained, i)
+    @pytest.mark.parametrize("row", TAPE_OPS, ids=NAMES)
+    def test_grad_fn_captures_no_tensor(self, row):
+        """A closure that held a Tensor would keep its whole ``.data`` (and, on
+        an op output, its node) alive for as long as the node lives."""
+        arrays = operands(row, np.random.default_rng(0), 3)
+        out = call(row, arrays, range(len(arrays)))
+        held = [type(o).__name__ for o in _closure_objects(out._node.grad_fn)
+                if isinstance(o, (Tensor, tensor._Node))]
+        assert not held
 
     def test_attention_tape_holds_no_frames_by_frames_node(self):
         """No closure of a multi-head attention graph saves an array as large
@@ -913,7 +862,7 @@ class TestTapeContracts:
     def test_attention_keeps_x_merged_output_and_row_statistics(self, heads):
         """Besides x and the weights, the graph of multi_head_attention saves
         the merged head outputs, as one C-contiguous [frames, dim] array, and
-        each row's sum of exponentials [heads, frames, 1].  With dim 4 and 4
+        each row's log-sum-exp [heads, frames, 1].  With dim 4 and 4
         heads, head_dim is 1, the case in which an output laid out like the
         strided split-head queries came out as [d_v, frames, heads], so that
         merging the heads copied it."""
@@ -940,15 +889,6 @@ class TestTapeContracts:
         inputs = [t.data for t in (x, w1, b1, w2, b2)]
         saved = [a for a in _closure_objects(out._node.grad_fn) if isinstance(a, np.ndarray)]
         assert saved and all(any(np.shares_memory(a, b) for b in inputs) for a in saved)
-
-    @pytest.mark.parametrize("build", [b for _, b in TAPE_OPS], ids=[n for n, _ in TAPE_OPS])
-    def test_grad_fn_captures_no_tensor(self, build):
-        """A closure that held a Tensor would keep its whole ``.data`` (and, on
-        an op output, its node) alive for as long as the node lives."""
-        out = build(np.random.default_rng(0))
-        held = [type(o).__name__ for o in _closure_objects(out._node.grad_fn)
-                if isinstance(o, (Tensor, tensor._Node))]
-        assert not held
 
     @staticmethod
     def post_norm_layer():
