@@ -20,6 +20,7 @@ score.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,9 +236,9 @@ def write_scores_csv(path, scores_by_trait: dict[str, JudgeScores]) -> None:
     sorted order.  Before the file is opened, a trait outside ``TRAITS`` and
     ``DIMENSIONS`` raises FormatError, a matrix that is not a real [judges,
     clips] array ShapeError or NotReal, one whose shape is not the count of
-    judge ids by the count of clip ids ShapeError, and a non-finite score
-    NonFinite: each is a table that ``read_scores_csv`` would reject or
-    read otherwise."""
+    judge ids by the count of clip ids ShapeError, a repeated judge or clip
+    id FormatError, and a non-finite score NonFinite: each is a table that
+    ``read_scores_csv`` would reject or read otherwise."""
     tables = []
     for trait in sorted(scores_by_trait):
         if trait not in TRAITS + DIMENSIONS:
@@ -249,6 +250,10 @@ def write_scores_csv(path, scores_by_trait: dict[str, JudgeScores]) -> None:
         if m.shape != (len(sc.judge_ids), len(sc.clip_ids)):
             raise ShapeError(f"{what} of shape {m.shape} for {len(sc.judge_ids)} judge ids "
                              f"and {len(sc.clip_ids)} clip ids")
+        for kind, ids in (("judge", sc.judge_ids), ("clip", sc.clip_ids)):
+            repeated = sorted(i for i, count in Counter(ids).items() if count > 1)
+            if repeated:
+                raise FormatError(f"{path}: trait {trait!r} repeats {kind} ids {repeated}")
         tables.append((trait, sc, m))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

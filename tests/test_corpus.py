@@ -380,6 +380,19 @@ class TestCsvRoundTrips:
             write_scores_csv(path, {"AG": good, trait: bad})
         assert not path.exists()
 
+    @pytest.mark.parametrize("kind", ["judge", "clip"])
+    def test_writer_rejects_repeated_ids(self, tmp_path, kind):
+        """A repeated judge or clip id was written, and the reader then
+        rejected the table's second score for that cell."""
+        good = scores_from_matrix(np.full((11, 5), 4.0), trait="AG")
+        ids = {"judge_ids": list(good.judge_ids), "clip_ids": list(good.clip_ids)}
+        ids[f"{kind}_ids"][1] = ids[f"{kind}_ids"][0]
+        bad = JudgeScores(np.full((11, 5), 3.0), FIVE_POINT, "EX", **ids)
+        path = tmp_path / "scores.csv"
+        with pytest.raises(FormatError, match=f"repeats {kind} ids"):
+            write_scores_csv(path, {"AG": good, "EX": bad})
+        assert not path.exists()
+
     @pytest.mark.parametrize("rows", [
         ["c1,j1,EX,3", "c2,j1,EX,4", "c1,j1,EX,5"],     # duplicate cell
         ["c1,j1,EX,3", "c2,j1,EX,nan"],                 # non-finite score

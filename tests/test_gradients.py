@@ -1,7 +1,8 @@
 """Reverse-mode gradients against central finite differences.
 
 Every op in ``tape_ops.TAPE_OPS`` is checked against the oracle of
-gradcheck.py on twenty seeded instances, relative error below 1e-4, and a
+gradcheck.py on twenty seeded instances, relative error below 1e-4, at
+three rows and, where its shapes depend on the row count, at one; and a
 partly trained op is checked against the fully trained one byte for byte.
 The attention helpers behind ``multi_head_attention`` are checked on their
 own, at query and key frame counts that self-attention never has and over
@@ -53,13 +54,13 @@ def run_instances(make_case, count=N_INSTANCES):
         make_case(rng, seed)
 
 
-@pytest.mark.parametrize("row", TAPE_OPS, ids=NAMES)
-def test_every_operand_matches_finite_differences(row):
-    """Every operand requiring grad, over 3 rows: the op's output agrees
-    with the row's numpy forward, and each gradient has its operand's shape
-    (``max_rel_error`` would broadcast) and matches the oracle."""
+def _check_oracle(row, n):
+    """Over twenty seeds, every operand requiring grad, over ``n`` rows: the
+    op's output agrees with the row's numpy forward, and each gradient has
+    its operand's shape (``max_rel_error`` would broadcast) and matches the
+    oracle."""
     def case(rng, seed):
-        arrays = operands(row, rng, 3)
+        arrays = operands(row, rng, n)
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         out = row.op(*tensors)
         assert np.allclose(out.data, row.forward(*arrays), rtol=1e-12, atol=1e-12)
@@ -75,6 +76,24 @@ def test_every_operand_matches_finite_differences(row):
             err = max_rel_error(t.grad, numeric_gradient(scalar, arr))
             assert err < TOL, f"seed {seed}, arg {idx}: rel err {err:.2e}"
     run_instances(case)
+
+
+@pytest.mark.parametrize("row", TAPE_OPS, ids=NAMES)
+def test_every_operand_matches_finite_differences(row):
+    _check_oracle(row, 3)
+
+
+# the rows whose operand shapes depend on the row count
+ONE_ROW = [row for row in TAPE_OPS if row.shapes(1) != row.shapes(3)]
+
+
+@pytest.mark.parametrize("row", ONE_ROW, ids=[row.name for row in ONE_ROW])
+def test_one_row_matches_finite_differences(row):
+    """The oracle at one row, a clip of one frame: a sum over rows that an
+    op skipped gives the right values there, so only the gradient's shape
+    shows it, and attention has a single key, which gives q and k no
+    gradient."""
+    _check_oracle(row, 1)
 
 
 def _partly_trained(count):
