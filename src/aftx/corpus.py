@@ -80,11 +80,12 @@ class JudgeScores:
             raise UnknownKind(f"unknown scale {self.scale!r}")
 
 
-def _score_matrix(scores: JudgeScores) -> np.ndarray:
+def _score_matrix(scores: JudgeScores, label: str | None = None) -> np.ndarray:
     """The scores' matrix, if it is a real [judges, clips] array (ShapeError,
     NotReal) of finite scores (NonFinite) with a judge and a clip
-    (SchemaError)."""
-    what = f"trait {scores.trait!r} scores [judges, clips]"
+    (SchemaError).  ``label`` names the scores in error messages, by
+    default as their trait."""
+    what = f"{label or f'trait {scores.trait!r}'} scores [judges, clips]"
     m = finite(real_array(scores.matrix, what, ndim=2), what)
     if 0 in m.shape:
         raise SchemaError(f"{what} of shape {m.shape} have no judges or no clips")
@@ -233,22 +234,25 @@ def synthetic_judge_scores(planted: np.ndarray, num_judges: int, scale: str,
 
 def write_scores_csv(path, scores_by_trait: dict[str, JudgeScores]) -> None:
     """One ``clip_id,judge_id,trait,score`` row per score, the traits in
-    sorted order.  Before the file is opened, a trait outside ``TRAITS`` and
-    ``DIMENSIONS`` raises FormatError, a matrix that is not a real [judges,
-    clips] array ShapeError or NotReal, one whose shape is not the count of
-    judge ids by the count of clip ids ShapeError, a repeated judge or clip
-    id FormatError, and a non-finite score NonFinite: each is a table that
-    ``read_scores_csv`` would reject or read otherwise."""
+    sorted order.  Before the file is opened, no trait at all or a trait
+    outside ``TRAITS`` and ``DIMENSIONS`` raises FormatError, a matrix that is not a real [judges,
+    clips] array ShapeError or NotReal, one with no judge or no clip
+    SchemaError, one whose shape is not the count of judge ids by the count
+    of clip ids ShapeError, a repeated judge or clip id FormatError, and a
+    non-finite score NonFinite: each is a table that ``read_scores_csv``
+    would reject or read otherwise."""
+    if not scores_by_trait:
+        raise FormatError(f"{path}: no traits to write")
     tables = []
     for trait in sorted(scores_by_trait):
         if trait not in TRAITS + DIMENSIONS:
             raise FormatError(f"{path}: unknown trait {trait!r}; "
                               f"expected one of {TRAITS + DIMENSIONS}")
         sc = scores_by_trait[trait]
-        what = f"{path}: trait {trait!r} scores [judges, clips]"
-        m = finite(real_array(sc.matrix, what, ndim=2), what)
+        label = f"{path}: trait {trait!r}"
+        m = _score_matrix(sc, label)
         if m.shape != (len(sc.judge_ids), len(sc.clip_ids)):
-            raise ShapeError(f"{what} of shape {m.shape} for {len(sc.judge_ids)} judge ids "
+            raise ShapeError(f"{label} scores of shape {m.shape} for {len(sc.judge_ids)} judge ids "
                              f"and {len(sc.clip_ids)} clip ids")
         for kind, ids in (("judge", sc.judge_ids), ("clip", sc.clip_ids)):
             repeated = sorted(i for i, count in Counter(ids).items() if count > 1)

@@ -118,7 +118,8 @@ TAPE_OPS = [
            lambda n: [(n, 4)]),
     TapeOp("transpose", lambda x: transpose(x, (2, 0, 1)), lambda x: x.transpose(2, 0, 1),
            lambda n: [(n, 3, 2)]),
-    TapeOp("tmean", lambda x: tmean(x, 0), lambda x: x.mean(axis=0), lambda n: [(n, 4)]),
+    # over the middle axis, so that the gradient must be expanded at that axis
+    TapeOp("tmean", lambda x: tmean(x, 1), lambda x: x.mean(axis=1), lambda n: [(n, 4, 2)]),
     TapeOp("stack", lambda *t: stack(list(t)), lambda *a: np.stack(a),
            lambda n: [(n,), (n,), (n,)]),
     TapeOp("linear-1d", linear, lambda x, w, b: x @ w + b,

@@ -366,18 +366,28 @@ class TestCsvRoundTrips:
         ("EX", np.full(5, 3.0), 5, ShapeError),
         ("EX", np.full((11, 5), np.nan), 5, NonFinite),
         ("XX", np.full((11, 5), 3.0), 5, FormatError),
-    ], ids=["fewer_clip_ids", "more_clip_ids", "1d", "nan", "unknown_trait"])
+        ("EX", np.zeros((11, 0)), 0, SchemaError),
+    ], ids=["fewer_clip_ids", "more_clip_ids", "1d", "nan", "unknown_trait", "no_clips"])
     def test_writer_rejects_what_the_reader_rejects(self, tmp_path, trait, matrix, clips, error):
         """With 3 clip ids, an [11, 5] matrix was written as an 11 x 3 table;
-        with 7, numpy's IndexError came after 95 bytes; and a trait the
-        reader rejects was written.  Now nothing is written, not even the
-        valid table that sorts first."""
+        with 7, numpy's IndexError came after 95 bytes; a trait the reader
+        rejects was written; and a trait with no clips wrote no row, so the
+        reader dropped it.  Now nothing is written, not even the valid table
+        that sorts first."""
         good = scores_from_matrix(np.full((11, 5), 4.0), trait="AG")
         bad = JudgeScores(matrix, FIVE_POINT, trait, clip_ids=[f"c{i}" for i in range(clips)],
                           judge_ids=good.judge_ids)
         path = tmp_path / "scores.csv"
         with pytest.raises(error):
             write_scores_csv(path, {"AG": good, trait: bad})
+        assert not path.exists()
+
+    def test_writer_rejects_no_traits(self, tmp_path):
+        """An empty dict wrote a header alone, which the reader rejects as
+        a file with no score rows."""
+        path = tmp_path / "scores.csv"
+        with pytest.raises(FormatError, match="no traits"):
+            write_scores_csv(path, {})
         assert not path.exists()
 
     @pytest.mark.parametrize("kind", ["judge", "clip"])

@@ -16,7 +16,7 @@ from aftx.tensor import _QUERY_BLOCK, Tensor, _attention_grads, _attention_into,
 
 from gradcheck import max_rel_error, numeric_gradient
 from scalar_loss import project
-from tape_ops import NAMES, TAPE_OPS, call, operands
+from tape_ops import TAPE_OPS, call, operands
 
 TOL = 1e-4
 N_INSTANCES = 20
@@ -54,7 +54,17 @@ def run_instances(make_case, count=N_INSTANCES):
         make_case(rng, seed)
 
 
-def _check_oracle(row, n):
+# three rows for every row of the table, and one row, a clip of one frame,
+# for those whose operand shapes depend on the row count: there a sum over
+# rows that an op skipped gives the right values, so only the gradient's
+# shape shows it, and attention has a single key, which gives q and k no
+# gradient
+ORACLE = [(row, n) for row in TAPE_OPS for n in (3, 1)
+          if n == 3 or row.shapes(1) != row.shapes(3)]
+
+
+@pytest.mark.parametrize("row, n", ORACLE, ids=[f"{row.name}-rows{n}" for row, n in ORACLE])
+def test_every_operand_matches_finite_differences(row, n):
     """Over twenty seeds, every operand requiring grad, over ``n`` rows: the
     op's output agrees with the row's numpy forward, and each gradient has
     its operand's shape (``max_rel_error`` would broadcast) and matches the
@@ -76,24 +86,6 @@ def _check_oracle(row, n):
             err = max_rel_error(t.grad, numeric_gradient(scalar, arr))
             assert err < TOL, f"seed {seed}, arg {idx}: rel err {err:.2e}"
     run_instances(case)
-
-
-@pytest.mark.parametrize("row", TAPE_OPS, ids=NAMES)
-def test_every_operand_matches_finite_differences(row):
-    _check_oracle(row, 3)
-
-
-# the rows whose operand shapes depend on the row count
-ONE_ROW = [row for row in TAPE_OPS if row.shapes(1) != row.shapes(3)]
-
-
-@pytest.mark.parametrize("row", ONE_ROW, ids=[row.name for row in ONE_ROW])
-def test_one_row_matches_finite_differences(row):
-    """The oracle at one row, a clip of one frame: a sum over rows that an
-    op skipped gives the right values there, so only the gradient's shape
-    shows it, and attention has a single key, which gives q and k no
-    gradient."""
-    _check_oracle(row, 1)
 
 
 def _partly_trained(count):
