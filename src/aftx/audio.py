@@ -97,7 +97,7 @@ def _decode_samples(data: memoryview, fmt: int, channels: int, bits: int) -> np.
     return x
 
 
-def resample_linear(x: np.ndarray, src_rate: int) -> np.ndarray:
+def _resample_linear(x: np.ndarray, src_rate: int) -> np.ndarray:
     """``x``, sampled at ``src_rate``, linearly interpolated to ``SAMPLE_RATE``."""
     if len(x) == 0:  # np.interp rejects an empty xp
         return np.empty(0)
@@ -137,7 +137,7 @@ def load_wav(path) -> Waveform:
         raise FormatError(f"{path}: sample rate {rate} Hz is below 8000 Hz")
     x = finite(_decode_samples(data, fmt, channels, bits), f"{path}: samples")
     if rate != SAMPLE_RATE:
-        x = resample_linear(x, rate)
+        x = _resample_linear(x, rate)
     # equals max(|x|) exactly, with no |x| temporary
     peak = max(x.max(), -x.min()) if len(x) else 0.0
     if peak > 1.0:

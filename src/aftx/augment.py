@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Spectrogram
-from .errors import MaskTooLarge, ShapeError, checked_seed, finite, real_array
+from .errors import MaskTooLarge, ShapeError, checked_seed, finite, is_whole, real_array
 
 FREQUENCY = "frequency"
 TIME = "time"
@@ -45,9 +45,12 @@ class Provenance:
 
 def _band_limits(num_rows: int, axis: str) -> tuple[int, int]:
     """The substream and widest band of ``axis``: ShapeError for an axis other
-    than ``"freq"`` or ``"time"``, MaskTooLarge if ``num_rows`` is no wider."""
+    than ``"freq"`` or ``"time"`` or a ``num_rows`` that is not a whole
+    number, MaskTooLarge if ``num_rows`` is no wider."""
     if axis not in _AXES:
         raise ShapeError(f"no mask axis {axis!r}; expected 'freq' or 'time'")
+    if not is_whole(num_rows):
+        raise ShapeError(f"num_rows must be a whole number, got {num_rows!r}")
     stream, max_width = _AXES[axis]
     if max_width >= num_rows:
         raise MaskTooLarge(f"{axis} width {max_width} >= the axis's {num_rows} rows")
@@ -60,7 +63,8 @@ def sample_mask_regions(num_rows: int, axis: str, seed: int) -> tuple[int, int]:
     Its width is uniform on [0, the axis's widest band], which must be
     narrower than the axis; its position keeps it inside the axis.  The
     generator is derived from (seed, axis) so composition order cannot
-    change the draw.  A seed other than a non-negative whole number raises
+    change the draw.  A ``num_rows`` that is not a whole number raises
+    ShapeError, and a seed other than a non-negative whole number
     InvalidSeed.
     """
     stream, max_width = _band_limits(num_rows, axis)

@@ -36,6 +36,7 @@ from .errors import (
     UnknownKind,
     checked_seed,
     finite,
+    finite_number,
     is_whole,
     real_array,
 )
@@ -122,7 +123,10 @@ def summarize_continuous(times: np.ndarray, values: np.ndarray,
 
     ``times`` and ``values`` must be 1-D arrays of equal length
     (ShapeError) of real numbers (NotReal), every time finite and every
-    value in the window finite (NonFinite)."""
+    value in the window finite (NonFinite), and each window bound one
+    finite real number (``finite_number``)."""
+    start_s = finite_number(start_s, "window start")
+    end_s = finite_number(end_s, "window end")
     times = real_array(times, "annotation times", ndim=1).astype(np.float64, copy=False)
     values = real_array(values, "annotation values", ndim=1)
     if times.shape != values.shape:
@@ -203,12 +207,20 @@ def synthetic_judge_scores(planted: np.ndarray, num_judges: int, scale: str,
     """Judge scores = planted label + a fixed per-judge bias + noise.
 
     With zero noise every judge scores positives strictly above negatives, so
-    majority binarization recovers the planted labels exactly.  A judge
-    count that is not a positive whole number raises ShapeError.
+    majority binarization recovers the planted labels exactly.  Planted
+    labels that are ragged or not 1-D raise ShapeError, not real NotReal,
+    and NaN or infinite NonFinite; a ``noise`` that is not one finite real
+    number raises as ``finite_number`` does; and a judge count that is not
+    a positive whole number, or a count of ``clip_ids`` other than that of
+    the planted labels, raises ShapeError.
     """
+    planted = finite(real_array(planted, "planted labels", ndim=1), "planted labels")
+    noise = finite_number(noise, "noise")
     if not is_whole(num_judges) or num_judges < 1:
         raise ShapeError(f"num_judges must be a positive whole number, got {num_judges!r}")
     n = len(planted)
+    if len(clip_ids) != n:
+        raise ShapeError(f"{len(clip_ids)} clip ids for {n} planted labels")
     if scale == FIVE_POINT:
         bias = rng.integers(-1, 2, size=num_judges).astype(np.float64)
         base = np.where(planted > 0, 4.0, 2.0)

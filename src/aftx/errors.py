@@ -1,6 +1,7 @@
 """Exception hierarchy. Every failure mode raised by the library is a subclass
 of AftxError, named after the contract it violates.  Every input boundary
-takes its arrays through the one array contract, ``real_array`` and ``finite``."""
+takes its arrays through the one array contract, ``real_array`` and ``finite``,
+and a single number through ``finite_number``, a 0-d array of that contract."""
 
 import numpy as np
 
@@ -47,8 +48,8 @@ class MissingGrad(AftxError):
 
 
 class NonFinite(AftxError):
-    """A logit, gradient, correlation input, annotation value, judge score,
-    spectrogram value or WAV sample is NaN or infinite."""
+    """An array or number that must be finite holds NaN or infinity
+    (``finite``, ``finite_number``)."""
 
 
 # --- audio / augmentation ---
@@ -62,8 +63,9 @@ class UnsupportedCodec(AftxError):
 
 
 class OutOfRange(AftxError):
-    """A value lies outside what its file format holds exactly: a sample to be
-    written as 16-bit PCM outside [-1, 1], or an AFTX1 integer beyond ±2**53."""
+    """A value lies outside the range its contract takes: a sample to be
+    written as 16-bit PCM outside [-1, 1], an AFTX1 integer beyond ±2**53,
+    or a negative learning rate."""
 
 
 class MaskTooLarge(AftxError):
@@ -118,9 +120,15 @@ def real_array(values, what: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+def finite_number(value, what: str) -> float:
+    """``value`` as a float, if it is one real number (a 0-d array of the
+    array contract: ShapeError, NotReal) that is finite (NonFinite)."""
+    return float(finite(real_array(value, what, ndim=0), what))
+
+
 def is_whole(n) -> bool:
     """Whether ``n`` is an integer (Python's or numpy's) and not a bool: the
-    contract of a size, a count or a stride."""
+    contract of a size, a count, a stride or an axis."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MissingGrad, finite
+from .errors import MissingGrad, OutOfRange, finite, finite_number
 from .tensor import Parameter
 
 WEIGHT_DECAY = 1e-5
@@ -25,8 +25,13 @@ class AdamW:
     """Optimizer state and update for one dict of named parameters."""
 
     def __init__(self, params: dict[str, Parameter], lr: float):
+        """A learning rate that is not one real number raises ShapeError or
+        NotReal, a NaN or infinite one NonFinite, and a negative one
+        OutOfRange."""
         self.params = params
-        self.lr = lr
+        self.lr = finite_number(lr, "learning rate")
+        if self.lr < 0:
+            raise OutOfRange(f"learning rate {self.lr} is negative")
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}

@@ -158,10 +158,13 @@ def _compute_arrays(tensors, frozen=np.float32) -> list[np.ndarray]:
 
 
 def _axis(axis, ndim: int, op: str) -> int:
-    """``axis`` of an ``ndim``-dimensional operand as an index in [0, ndim)."""
+    """``axis`` of an ``ndim``-dimensional operand as an index in [0, ndim):
+    ShapeError unless it is a whole number (``is_whole``) in [-ndim, ndim)."""
+    if not is_whole(axis):
+        raise ShapeError(f"{op}: an axis must be a whole number, got {axis!r}")
     try:
         return normalize_axis_index(axis, ndim)
-    except (TypeError, np.exceptions.AxisError) as exc:
+    except np.exceptions.AxisError as exc:
         raise ShapeError(f"{op}: no axis {axis!r} in {ndim} dimensions") from exc
 
 

@@ -10,7 +10,7 @@ from aftx.audio import (
     load_wav,
     log_mel,
     mel_filterbank,
-    resample_linear,
+    _resample_linear,
     write_wav,
 )
 from aftx.errors import (
@@ -209,8 +209,8 @@ class TestWriteWav:
 class TestResample:
     def test_ratio(self):
         x = np.sin(np.arange(1000) * 0.01)
-        assert abs(len(resample_linear(x, 8000)) - 2000) <= 1
-        assert abs(len(resample_linear(x, 44100)) - 363) <= 1
+        assert abs(len(_resample_linear(x, 8000)) - 2000) <= 1
+        assert abs(len(_resample_linear(x, 44100)) - 363) <= 1
 
 
 class TestLogMel:
@@ -253,25 +253,6 @@ class TestLogMel:
         assert mel_filterbank() is bank
         with pytest.raises(ValueError):
             bank[0, 0] = 1.0
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_non_finite_samples_rejected(self, bad):
-        x = np.zeros(4000)
-        x[1234] = bad
-        with pytest.raises(NonFinite):
-            log_mel(Waveform(samples=x))
-
-    @pytest.mark.parametrize("shape", [(2, 4000), (4000, 2), ()],
-                             ids=["channels-first", "channels-last", "scalar"])
-    def test_samples_not_1d_rejected(self, shape):
-        with pytest.raises(ShapeError):
-            log_mel(Waveform(samples=np.zeros(shape)))
-
-    @pytest.mark.parametrize("kind", NOT_REAL)
-    def test_samples_not_real_rejected(self, kind):
-        # a float64 cast would drop an imaginary part or parse the strings
-        with pytest.raises(NotReal):
-            log_mel(Waveform(samples=NOT_REAL[kind]))
 
     # ids keep the frames-kwargsN-frame length-frame shift form, so each case
     # reads the same in results of earlier versions of the suite

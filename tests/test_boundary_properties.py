@@ -1,55 +1,110 @@
-"""The array contract of ``aftx``'s input boundaries, as properties.
+"""The input contracts of ``aftx``'s boundaries, as exact properties.
 
-Each boundary that takes an array from outside the program gets one
-malformed array argument, and valid others: a ragged nested list, complex,
-string or object data, a NaN or infinite value, or an array of another rank
-than the boundary takes.  The call either returns or raises an AftxError:
-never a bare numpy or Python exception, and never a warning.  Then the
-calls that a boundary must reject are pinned to the error it names.
-(``load_wav``'s samples come from a file; test_reader_properties.py
-corrupts those.)
+Each boundary that takes an array from outside the program is a row of
+``BOUNDARIES``, and gets one malformed array argument, and valid others: a
+ragged nested list, complex, string or object data, a NaN or infinite
+value, or an array of another rank than the boundary takes.  Each kind
+raises the error that the broken contract names,
 
-A size, count or stride argument must be an integer, Python's or numpy's,
-and not a bool: a float, a string or a bool raises the boundary's named
-error, never a bare TypeError, and True is not taken as 1.  A seed must
-also be non-negative, and any other seed raises InvalidSeed.
+    ragged, rank            ShapeError
+    complex, str, object    NotReal
+    nan, inf                NonFinite
+
+unless the row names another, or None where its contract takes the value
+and the call returns.  No call raises another class, a bare numpy or
+Python exception, or a warning.  (``load_wav``'s samples come from a file;
+test_reader_properties.py corrupts those.)
+
+A size, count, stride or axis argument must be an integer, Python's or
+numpy's, and not a bool: a float, a string or a bool raises the boundary's
+named error, never a bare TypeError, and True is not taken as 1.  A
+learning rate must be one finite, non-negative real number, and a seed a
+non-negative whole number; any other seed raises InvalidSeed.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftx.audio import Spectrogram, Waveform, log_mel, write_wav
 from aftx.augment import augment_corpus, sample_mask_regions
 from aftx.container import entries_digest, save_container
-from aftx.corpus import (FIVE_POINT, AnnotatedClip, JudgeScores, binarize_majority, make_folds,
-                         summarize_continuous)
-from aftx.errors import AftxError, HeadMismatch, InvalidSeed, NonFinite, NotReal, ShapeError
+from aftx.corpus import (CONTINUOUS, FIVE_POINT, AnnotatedClip, JudgeScores, binarize_majority,
+                         make_folds, summarize_continuous, synthetic_judge_scores)
+from aftx.errors import (AftxError, HeadMismatch, InvalidSeed, LabelError, NonFinite, NotReal,
+                         OutOfRange, ShapeError)
 from aftx.layers import positional_encoding
-from aftx.metrics import ConfusionMatrix, pearson
-from aftx.tensor import Tensor, conv1d, multi_head_attention
+from aftx.metrics import ConfusionMatrix, pearson, phi
+from aftx.optim import AdamW
+from aftx.tensor import Tensor, conv1d, multi_head_attention, softmax_cross_entropy, tmean, transpose
 
-# name -> (the rank of the array the boundary takes, or None for any rank;
-# the call given that argument ``a``, a valid array ``v`` for any other
-# array argument, and a scratch directory ``d``)
+
+def _with(v: np.ndarray, index: int, value: float) -> np.ndarray:
+    out = v.copy()
+    out.flat[index % out.size] = value
+    return out
+
+
+# kind -> (the error it raises by default; a strategy for the malformed
+# argument, given a valid array v, which holds an element for nan and inf)
+MALFORMED = {
+    "ragged": (ShapeError, lambda v: st.lists(st.integers(0, 3), min_size=2, max_size=4,
+                                              unique=True)
+                                       .map(lambda sides: [[0.0] * n for n in sides])),
+    "complex": (NotReal, lambda v: st.just(v + 1j)),
+    "str": (NotReal, lambda v: st.just(v.astype(str))),
+    "object": (NotReal, lambda v: st.just(v.astype(object))),
+    "nan": (NonFinite, lambda v: st.integers(0, 63).map(lambda i: _with(v, i, np.nan))),
+    "inf": (NonFinite, lambda v: st.tuples(st.integers(0, 63), st.sampled_from([np.inf, -np.inf]))
+                                   .map(lambda iv: _with(v, *iv))),
+    "rank": (ShapeError, lambda v: st.sampled_from([v[None], np.float64(1.0)]
+                                                   + [v.reshape(-1)] * (v.ndim > 1))),
+}
+
+# the kinds that a row's contract takes, or rejects with another error
+TAKES = {"nan": None, "inf": None, "rank": None}       # the tape and AFTX1 hold any float64 array
+NOT_LABELS = {"nan": LabelError, "inf": LabelError}    # NaN and infinity are not 0 or 1
+LABELS = dict.fromkeys(MALFORMED, LabelError)          # softmax_cross_entropy's labels
+
+# name -> (the shape of the valid array the boundary takes, None for a side
+# of any length, or None for any rank; the errors the row names, by kind;
+# the call given the malformed argument ``a``, the valid array ``v``, and a
+# scratch directory ``d``)
 BOUNDARIES = {
-    "Tensor": (None, lambda a, v, d: Tensor(a)),
-    "write_wav": (1, lambda a, v, d: write_wav(d / "x.wav", Waveform(a))),
-    "log_mel": (1, lambda a, v, d: log_mel(Waveform(a))),
-    "save_container": (None, lambda a, v, d: save_container(d / "x.aftx", [("a", a, True)])),
-    "entries_digest": (None, lambda a, v, d: entries_digest([("a", a, True)])),
-    "binarize_majority": (2, lambda a, v, d: binarize_majority(JudgeScores(a, FIVE_POINT, "EX"))),
-    "summarize_continuous.times": (1, lambda a, v, d: summarize_continuous(a, v, 0.0, 2.0)),
-    "summarize_continuous.values": (1, lambda a, v, d: summarize_continuous(v, a, 0.0, 2.0)),
-    "pearson.x": (1, lambda a, v, d: pearson(a, v)),
-    "pearson.y": (1, lambda a, v, d: pearson(v, a)),
-    "from_predictions.y_true": (1, lambda a, v, d: ConfusionMatrix.from_predictions(a, v)),
-    "from_predictions.y_pred": (1, lambda a, v, d: ConfusionMatrix.from_predictions(v, a)),
-    "augment_corpus": (2, lambda a, v, d: [s.values for s, _ in
-                                           augment_corpus([Spectrogram(a, "x")], 0)]),
+    "Tensor": (None, TAKES, lambda a, v, d: Tensor(a)),
+    "write_wav": ((None,), {}, lambda a, v, d: write_wav(d / "x.wav", Waveform(a))),
+    "log_mel": ((None,), {}, lambda a, v, d: log_mel(Waveform(a))),
+    "save_container": (None, TAKES,
+                       lambda a, v, d: save_container(d / "x.aftx", [("a", a, True)])),
+    "entries_digest": (None, TAKES, lambda a, v, d: entries_digest([("a", a, True)])),
+    "JudgeScores.validate_schema": ((None, None), {}, lambda a, v, d:
+                                    JudgeScores(a, CONTINUOUS, "arousal").validate_schema()),
+    "binarize_majority": ((None, None), {},
+                          lambda a, v, d: binarize_majority(JudgeScores(a, FIVE_POINT, "EX"))),
+    "summarize_continuous.times": ((None,), {},
+                                   lambda a, v, d: summarize_continuous(a, v, 0.0, 2.0)),
+    # every time inside the window, so every value is read
+    "summarize_continuous.values": ((None,), {}, lambda a, v, d:
+                                    summarize_continuous(np.zeros(len(v)), a, 0.0, 2.0)),
+    "synthetic_judge_scores.planted": ((None,), {}, lambda a, v, d: synthetic_judge_scores(
+        a, 11, FIVE_POINT, 0.0, np.random.default_rng(0), "EX", [str(i) for i in range(len(v))])),
+    "pearson.x": ((None,), {}, lambda a, v, d: pearson(a, v)),
+    "pearson.y": ((None,), {}, lambda a, v, d: pearson(v, a)),
+    "phi.x": ((None,), NOT_LABELS, lambda a, v, d: phi(a, v)),
+    "phi.y": ((None,), NOT_LABELS, lambda a, v, d: phi(v, a)),
+    "from_predictions.y_true": ((None,), NOT_LABELS,
+                                lambda a, v, d: ConfusionMatrix.from_predictions(a, v)),
+    "from_predictions.y_pred": ((None,), NOT_LABELS,
+                                lambda a, v, d: ConfusionMatrix.from_predictions(v, a)),
+    "softmax_cross_entropy.logits": ((None, 2), {}, lambda a, v, d: softmax_cross_entropy(
+        Tensor(a), np.zeros(len(v), dtype=np.int64))),
+    "softmax_cross_entropy.labels": ((3,), LABELS, lambda a, v, d: softmax_cross_entropy(
+        Tensor(np.zeros((3, 2))), a)),
+    "augment_corpus": ((None, None), {}, lambda a, v, d: [s.values for s, _ in
+                                                          augment_corpus([Spectrogram(a, "x")], 0)]),
 }
 
 
@@ -59,77 +114,36 @@ def scratch(tmp_path_factory):
 
 
 @st.composite
-def valid_arrays(draw, rank):
-    """A float array of ``rank`` (any of 0-3 for None) with sides 0-4 and
-    values in {0, 1, 2}: labels, scores, samples and times alike."""
-    ndim = draw(st.integers(0, 3)) if rank is None else rank
-    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=ndim, max_size=ndim)))
-    values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=int(np.prod(shape)),
+def valid_arrays(draw, shape, min_side):
+    """A float array of ``shape`` (of rank 0-3 for None), each None side
+    ``min_side``-4 long, with values 0 and 1: labels, scores, samples and
+    times alike."""
+    if shape is None:
+        shape = (None,) * draw(st.integers(0, 3))
+    shape = tuple(draw(st.integers(min_side, 4)) if side is None else side for side in shape)
+    values = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=int(np.prod(shape)),
                            max_size=int(np.prod(shape))))
     return np.array(values, dtype=np.float64).reshape(shape)
 
 
-def _with(v: np.ndarray, index: int, value: float) -> np.ndarray:
-    out = v.copy()
-    if out.size:
-        out.flat[index % out.size] = value
-    return out
-
-
-# kind -> a strategy for the malformed argument, given a valid array v
-MALFORMED = {
-    "ragged": lambda v: st.lists(st.integers(0, 3), min_size=2, max_size=4)
-                          .filter(lambda sides: len(set(sides)) > 1)
-                          .map(lambda sides: [[0.0] * n for n in sides]),
-    "complex": lambda v: st.just(v + 1j),
-    "str": lambda v: st.just(v.astype(str)),
-    "object": lambda v: st.just(v.astype(object)),
-    "nan": lambda v: st.integers(0, 63).map(lambda i: _with(v, i, np.nan)),
-    "inf": lambda v: st.tuples(st.integers(0, 63), st.sampled_from([np.inf, -np.inf]))
-                       .map(lambda iv: _with(v, *iv)),
-    "rank": lambda v: st.sampled_from([v[None], np.float64(1.0)]),
-}
-
-
+@pytest.mark.parametrize("kind", MALFORMED)
 @pytest.mark.parametrize("name", BOUNDARIES)
+@settings(max_examples=5)     # for each (row, kind) pair: the file runs in about 2 s
 @given(data=st.data())
-def test_malformed_array_returns_or_raises_aftx_error(scratch, name, data):
-    rank, call = BOUNDARIES[name]
-    valid = data.draw(valid_arrays(rank), label="valid")
-    kind = data.draw(st.sampled_from(sorted(MALFORMED)), label="kind")
-    bad = data.draw(MALFORMED[kind](valid), label="malformed")
+def test_malformed_array_raises_the_rows_error(scratch, name, kind, data):
+    shape, named, call = BOUNDARIES[name]
+    error, malformed = MALFORMED[kind]
+    error = named.get(kind, error)
+    valid = data.draw(valid_arrays(shape, min_side=int(kind in ("nan", "inf"))), label="valid")
+    bad = data.draw(malformed(valid), label="malformed")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
+        if error is None:
             call(bad, valid, scratch)
-        except AftxError:
-            pass
-
-
-VECTOR = np.array([0.0, 1.0, 2.0])
-SPEC = np.linspace(-1.0, 1.0, 80 * 100).reshape(80, 100)   # wide enough to mask
-
-# (error, boundary, what the malformed argument is, the argument, a valid
-# other argument): each call returned a value, or raised a bare numpy error,
-# before the boundary checked its argument
-NAMED = [
-    *[(NotReal, name, kind, bad, base)
-      for name, base in (("pearson.x", VECTOR), ("summarize_continuous.values", VECTOR),
-                         ("binarize_majority", SPEC), ("augment_corpus", SPEC))
-      for kind, bad in (("str", base.astype(str)), ("complex", base + 1j))],
-    (NonFinite, "augment_corpus", "nan", np.full((80, 100), np.nan), None),
-    *[(ShapeError, name, "ragged", [[0, 1], [1]], VECTOR)
-      for name in ("from_predictions.y_true", "pearson.x", "summarize_continuous.times",
-                   "save_container", "entries_digest", "write_wav", "log_mel",
-                   "binarize_majority")],
-]
-
-
-@pytest.mark.parametrize("error, name, bad, other", [case[:2] + case[3:] for case in NAMED],
-                         ids=[f"{name}-{kind}" for _, name, kind, _, _ in NAMED])
-def test_malformed_array_raises_named_error(scratch, error, name, bad, other):
-    with pytest.raises(error):
-        BOUNDARIES[name][1](bad, other, scratch)
+            return
+        with pytest.raises(AftxError) as raised:
+            call(bad, valid, scratch)
+    assert raised.type is error, f"{name} raised {raised.type.__name__}, not {error.__name__}"
 
 
 def _attention(heads):
@@ -149,12 +163,29 @@ SIZES = [
      lambda: conv1d(Tensor(np.zeros((2, 8))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)),
                     stride=True)),
     (HeadMismatch, "multi_head_attention-bool-heads", lambda: _attention(True)),
+    (ShapeError, "sample_mask_regions-float-rows", lambda: sample_mask_regions(100.5, "freq", 0)),
+    (ShapeError, "sample_mask_regions-str-rows", lambda: sample_mask_regions("100", "freq", 0)),
+    (ShapeError, "sample_mask_regions-bool-rows", lambda: sample_mask_regions(True, "freq", 0)),
+    (ShapeError, "tmean-bool-axis", lambda: tmean(Tensor(np.zeros((2, 3))), True)),
+    (ShapeError, "transpose-bool-axes", lambda: transpose(Tensor(np.zeros((2, 3))), (True, False))),
+]
+
+# (error, what the learning rate is, the call): before AdamW checked its
+# rate, NaN made every trainable weight NaN at the first step, a negative
+# rate moved the weights uphill, and the others raised a bare TypeError there
+RATES = [
+    (NonFinite, "AdamW-nan-lr", lambda: AdamW({}, lr=float("nan"))),
+    (NonFinite, "AdamW-inf-lr", lambda: AdamW({}, lr=float("inf"))),
+    (OutOfRange, "AdamW-negative-lr", lambda: AdamW({}, lr=-1.0)),
+    (NotReal, "AdamW-str-lr", lambda: AdamW({}, lr="0.1")),
+    (NotReal, "AdamW-none-lr", lambda: AdamW({}, lr=None)),
+    (ShapeError, "AdamW-list-lr", lambda: AdamW({}, lr=[0.1])),
 ]
 
 
-@pytest.mark.parametrize("error, call", [(e, c) for e, _, c in SIZES],
-                         ids=[name for _, name, _ in SIZES])
-def test_size_that_is_not_a_whole_number_raises_named_error(error, call):
+@pytest.mark.parametrize("error, call", [(e, c) for e, _, c in SIZES + RATES],
+                         ids=[name for _, name, _ in SIZES + RATES])
+def test_size_or_rate_outside_its_contract_raises_named_error(error, call):
     with pytest.raises(error):
         call()
 
@@ -162,8 +193,11 @@ def test_size_that_is_not_a_whole_number_raises_named_error(error, call):
 def test_numpy_integer_sizes_are_taken():
     assert positional_encoding(np.int64(3), np.int32(4)).shape == (3, 4)
     assert _attention(np.int64(2)).shape == (3, 4)
+    assert sample_mask_regions(np.int64(80), "freq", 0) == sample_mask_regions(80, "freq", 0)
+    assert tmean(Tensor(np.zeros((2, 3))), np.int64(-1)).shape == (2,)
 
 
+SPEC = np.linspace(-1.0, 1.0, 80 * 100).reshape(80, 100)   # wide enough to mask
 CLIPS = [AnnotatedClip(str(i), "", binary_labels={"EX": i % 2}) for i in range(10)]
 SEEDED = {
     "augment_corpus": lambda seed: [v.values for v, _ in
