@@ -31,6 +31,7 @@ from .errors import (
     InputTooShort,
     LabelError,
     MissingAnnotation,
+    OutOfRange,
     SchemaError,
     ShapeError,
     UnknownKind,
@@ -124,9 +125,12 @@ def summarize_continuous(times: np.ndarray, values: np.ndarray,
     ``times`` and ``values`` must be 1-D arrays of equal length
     (ShapeError) of real numbers (NotReal), every time finite and every
     value in the window finite (NonFinite), and each window bound one
-    finite real number (``finite_number``)."""
+    finite real number (``finite_number``).  A window that ends at or
+    before its start raises OutOfRange."""
     start_s = finite_number(start_s, "window start")
     end_s = finite_number(end_s, "window end")
+    if end_s <= start_s:
+        raise OutOfRange(f"clip window [{start_s}, {end_s}) ends at or before its start")
     times = real_array(times, "annotation times", ndim=1).astype(np.float64, copy=False)
     values = real_array(values, "annotation values", ndim=1)
     if times.shape != values.shape:

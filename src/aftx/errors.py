@@ -1,7 +1,8 @@
 """Exception hierarchy. Every failure mode raised by the library is a subclass
 of AftxError, named after the contract it violates.  Every input boundary
 takes its arrays through the one array contract, ``real_array`` and ``finite``,
-and a single number through ``finite_number``, a 0-d array of that contract."""
+and a single number through ``finite_number``, a 0-d array of that contract
+that is not a bool (a bool array is real: labels are one)."""
 
 import numpy as np
 
@@ -35,7 +36,9 @@ class LabelError(AftxError, KeyError):
 
 
 class NotReal(AftxError):
-    """Array data are not real numbers: complex values, strings or objects."""
+    """Array data are not real numbers: complex values, strings or objects;
+    or a single number (``finite_number``) is a bool, Python's or numpy's.
+    A bool array is real, as label input."""
 
 
 class StaleGraph(AftxError):
@@ -65,7 +68,8 @@ class UnsupportedCodec(AftxError):
 class OutOfRange(AftxError):
     """A value lies outside the range its contract takes: a sample to be
     written as 16-bit PCM outside [-1, 1], an AFTX1 integer beyond ±2**53,
-    or a negative learning rate."""
+    a negative learning rate, a clip window that ends at or before its
+    start, or a confusion count that is not a non-negative whole number."""
 
 
 class MaskTooLarge(AftxError):
@@ -122,8 +126,12 @@ def real_array(values, what: str, ndim: int | None = None) -> np.ndarray:
 
 def finite_number(value, what: str) -> float:
     """``value`` as a float, if it is one real number (a 0-d array of the
-    array contract: ShapeError, NotReal) that is finite (NonFinite)."""
-    return float(finite(real_array(value, what, ndim=0), what))
+    array contract: ShapeError, NotReal) that is not a bool (NotReal) and
+    is finite (NonFinite)."""
+    arr = real_array(value, what, ndim=0)
+    if arr.dtype.kind == "b":
+        raise NotReal(f"{what}: a bool is not a number, got {value!r}")
+    return float(finite(arr, what))
 
 
 def is_whole(n) -> bool:
@@ -141,8 +149,8 @@ def checked_seed(seed):
 
 
 def finite(arr: np.ndarray, what: str) -> np.ndarray:
-    """``arr``, or NonFinite if it holds NaN or infinity: its min and max
-    propagate both, so no temporary of the array's size is made."""
-    if arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+    """``arr``, or NonFinite if it holds NaN or infinity: one pass whose only
+    temporary is a bool mask, 1/8 of a float64 array's bytes."""
+    if not np.isfinite(arr).all():
         raise NonFinite(f"{what}: NaN or infinity")
     return arr

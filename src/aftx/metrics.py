@@ -12,15 +12,29 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import LabelError, ShapeError, UndefinedCorrelation, UndefinedRecall, finite, real_array
+from .errors import (LabelError, OutOfRange, ShapeError, UndefinedCorrelation, UndefinedRecall,
+                     finite, real_array)
 from .corpus import TRAITS
 
 
 @dataclass
 class ConfusionMatrix:
-    """2x2 counts; rows are true class, columns predicted."""
+    """2x2 counts; rows are true class, columns predicted.  The counts must
+    be a real (NotReal) [2, 2] array (ShapeError) of finite (NonFinite),
+    non-negative whole numbers (OutOfRange): every reader of a matrix,
+    ``uar`` and ``phi`` among them, takes them as checked here."""
 
     counts: np.ndarray
+
+    def __post_init__(self):
+        counts = real_array(self.counts, "confusion counts")
+        if counts.shape != (2, 2):
+            raise ShapeError(f"confusion counts must be [2, 2], got shape {counts.shape}")
+        finite(counts, "confusion counts")
+        if ((counts < 0) | (counts != np.floor(counts))).any():
+            raise OutOfRange(f"confusion counts must be non-negative whole numbers, "
+                             f"got {counts.tolist()}")
+        self.counts = counts
 
     @classmethod
     def from_predictions(cls, y_true, y_pred) -> "ConfusionMatrix":
@@ -38,7 +52,7 @@ class ConfusionMatrix:
 
 def uar(cm: ConfusionMatrix) -> float:
     """Unweighted average recall: the mean of per-class recalls."""
-    counts = np.asarray(cm.counts, dtype=np.float64)
+    counts = cm.counts
     row_sums = counts.sum(axis=1)
     if (row_sums == 0).any():
         raise UndefinedRecall("a true class has no samples")

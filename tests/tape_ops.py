@@ -1,11 +1,15 @@
 """Every op of ``aftx.tensor`` that records a node, as one table: the
-gradient oracle and the per-op tape contract tests run over its rows.
+gradient oracle and the per-op tape contract tests run over its rows, and
+so do the two tests of the dtype rule (tensor.py's module docstring): the
+frozen forward's dtype and bound, and the exact promotion of float32
+operands into a recorded op.
 
 A row holds the op over Tensors, an independent numpy forward of it, its
 operand shapes for ``n`` rows, and, where the op has a ReLU, the
 pre-activation that a finite difference must not straddle.  A row's name
 is the ``tensor.py`` function it calls, then, where the table holds more
-than one form of it, a hyphen and the form.  A new op is one more row.
+than one form of it, a hyphen and the form.  A new op is one more row,
+and gets every one of these tests with no other edit.
 """
 
 from __future__ import annotations

@@ -18,8 +18,12 @@ test_reader_properties.py corrupts those.)
 A size, count, stride or axis argument must be an integer, Python's or
 numpy's, and not a bool: a float, a string or a bool raises the boundary's
 named error, never a bare TypeError, and True is not taken as 1.  A
-learning rate must be one finite, non-negative real number, and a seed a
-non-negative whole number; any other seed raises InvalidSeed.
+single number (a learning rate, a window bound, a noise scale) must be one
+finite real number and not a bool, which raises NotReal, though a bool
+array is real label input; a learning rate must also be non-negative.
+Confusion counts must be non-negative whole numbers (OutOfRange) in a
+[2, 2] matrix.  A seed must be a non-negative whole number; any other
+seed raises InvalidSeed.
 """
 
 import warnings
@@ -95,6 +99,7 @@ BOUNDARIES = {
     "pearson.y": ((None,), {}, lambda a, v, d: pearson(v, a)),
     "phi.x": ((None,), NOT_LABELS, lambda a, v, d: phi(a, v)),
     "phi.y": ((None,), NOT_LABELS, lambda a, v, d: phi(v, a)),
+    "ConfusionMatrix.counts": ((2, 2), {}, lambda a, v, d: ConfusionMatrix(a)),
     "from_predictions.y_true": ((None,), NOT_LABELS,
                                 lambda a, v, d: ConfusionMatrix.from_predictions(a, v)),
     "from_predictions.y_pred": ((None,), NOT_LABELS,
@@ -151,9 +156,11 @@ def _attention(heads):
     return multi_head_attention(Tensor(np.ones((3, 4))), heads, *[eye, zero] * 4)
 
 
-# (error, what the size argument is, the call): before the boundary checked
-# its sizes, each call raised a bare TypeError or another named error, or
-# took True as 1
+# (error, what the size or count argument is, the call): before the
+# boundary checked its sizes, each call raised a bare TypeError or another
+# named error, or took True as 1; and before ConfusionMatrix checked its
+# counts, uar read a negative count (1.25 for [[3, -1], [0, 1]]) and a 3x3
+# matrix
 SIZES = [
     (ShapeError, "positional_encoding-float-dim", lambda: positional_encoding(3, 4.0)),
     (ShapeError, "positional_encoding-bool-frames", lambda: positional_encoding(True, 4)),
@@ -168,11 +175,18 @@ SIZES = [
     (ShapeError, "sample_mask_regions-bool-rows", lambda: sample_mask_regions(True, "freq", 0)),
     (ShapeError, "tmean-bool-axis", lambda: tmean(Tensor(np.zeros((2, 3))), True)),
     (ShapeError, "transpose-bool-axes", lambda: transpose(Tensor(np.zeros((2, 3))), (True, False))),
+    (OutOfRange, "ConfusionMatrix-negative-count",
+     lambda: ConfusionMatrix(np.array([[3, -1], [0, 1]]))),
+    (OutOfRange, "ConfusionMatrix-fractional-count",
+     lambda: ConfusionMatrix(np.array([[1.5, 0.0], [0.0, 1.0]]))),
+    (ShapeError, "ConfusionMatrix-3x3-counts", lambda: ConfusionMatrix(np.eye(3))),
 ]
 
-# (error, what the learning rate is, the call): before AdamW checked its
+# (error, what the single number is, the call): before AdamW checked its
 # rate, NaN made every trainable weight NaN at the first step, a negative
-# rate moved the weights uphill, and the others raised a bare TypeError there
+# rate moved the weights uphill, and the others raised a bare TypeError
+# there; and before ``finite_number`` rejected bools, True was taken as
+# 1.0: a rate of 1, the window [0, 1), and unit judge noise
 RATES = [
     (NonFinite, "AdamW-nan-lr", lambda: AdamW({}, lr=float("nan"))),
     (NonFinite, "AdamW-inf-lr", lambda: AdamW({}, lr=float("inf"))),
@@ -180,6 +194,12 @@ RATES = [
     (NotReal, "AdamW-str-lr", lambda: AdamW({}, lr="0.1")),
     (NotReal, "AdamW-none-lr", lambda: AdamW({}, lr=None)),
     (ShapeError, "AdamW-list-lr", lambda: AdamW({}, lr=[0.1])),
+    (NotReal, "AdamW-bool-lr", lambda: AdamW({}, lr=True)),
+    (NotReal, "summarize_continuous-bool-window",
+     lambda: summarize_continuous(np.arange(3.0), np.array([1.0, 2.0, 3.0]), False, True)),
+    (NotReal, "synthetic_judge_scores-numpy-bool-noise", lambda: synthetic_judge_scores(
+        np.array([0.0, 1.0]), 11, FIVE_POINT, np.True_, np.random.default_rng(0), "EX",
+        ["a", "b"])),
 ]
 
 

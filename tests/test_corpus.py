@@ -22,6 +22,7 @@ from aftx.errors import (
     LabelError,
     MissingAnnotation,
     NonFinite,
+    OutOfRange,
     SchemaError,
     ShapeError,
     UnknownKind,
@@ -146,6 +147,12 @@ class TestSummarizeContinuous:
     def test_non_finite_window_bound_rejected(self, start, end):
         # a NaN bound holds no sample, which is not a missing annotation
         with pytest.raises(NonFinite):
+            summarize_continuous(np.arange(3.0), np.zeros(3), start, end)
+
+    @pytest.mark.parametrize("start, end", [(2.5, 0.5), (1.0, 1.0)], ids=["reversed", "empty"])
+    def test_window_ending_at_or_before_its_start_rejected(self, start, end):
+        # a malformed window, not a missing annotation
+        with pytest.raises(OutOfRange, match=rf"\[{start}, {end}\)"):
             summarize_continuous(np.arange(3.0), np.zeros(3), start, end)
 
 

@@ -134,21 +134,6 @@ class TestConv1d:
         b = Tensor(np.zeros(5))
         assert np.all(conv1d(x, w, b, stride=2).data == 0.0)
 
-    @FROZEN_OR_TAPED
-    def test_matches_direct_window_sums(self, taped):
-        # oracle: explicit loop over output frames and taps
-        rng = np.random.default_rng(3)
-        x, w, b = rng.standard_normal((2, 12)), rng.standard_normal((3, 2, 3)), rng.standard_normal(3)
-        out = conv1d(Tensor(x, requires_grad=taped), Tensor(w), Tensor(b), stride=2).data
-        expected = np.zeros((3, 5))
-        for o in range(3):
-            for j in range(5):
-                expected[o, j] = (w[o] * x[:, 2 * j:2 * j + 3]).sum() + b[o]
-        if taped:
-            np.testing.assert_allclose(out, expected, rtol=1e-12)
-        else:
-            _assert_within_frozen_bound(out, expected)
-
     def test_too_short(self):
         with pytest.raises(InputTooShort):
             conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))), Tensor(np.zeros(1)))
@@ -195,38 +180,6 @@ def _identity_mha_params(dim):
                 wv=eye(), bv=zero(), wo=eye(), bo=zero())
 
 
-# Encoder shapes: 499 frames of width 128, 4 heads, a 256-wide feed-forward.
-MHA_SHAPES = [(128, 128), (128,)] * 4
-FFN_SHAPES = [(128, 256), (256,), (256, 128), (128,)]
-
-
-def _mha4(x, *params):
-    return multi_head_attention(x, 4, *params)
-
-
-def _encoder_arrays(seed, shapes):
-    """x [499, 128] and weights of ``shapes``: glorot-scaled matrices and
-    small biases."""
-    rng = np.random.default_rng(seed)
-    scale = lambda s: math.sqrt(2.0 / sum(s)) if len(s) == 2 else 0.1
-    return [rng.standard_normal((499, 128))] + [rng.standard_normal(s) * scale(s) for s in shapes]
-
-
-def _call(op, arrays, grad):
-    """``op`` over fresh Tensors of ``arrays``; operand i requires grad
-    where ``grad[i]``."""
-    return op(*(Tensor(a, requires_grad=g) for a, g in zip(arrays, grad)))
-
-
-def _assert_frozen_agrees_with_taped(op, shapes, seed):
-    arrays = _encoder_arrays(seed, shapes)
-    frozen = _call(op, arrays, [False] * len(arrays))
-    taped = _call(op, arrays, [True] + [False] * len(shapes))
-    assert frozen.data.dtype == np.float32 and frozen._node is None
-    assert taped.data.dtype == np.float64
-    _assert_within_frozen_bound(frozen.data, taped.data)
-
-
 class TestMultiHeadAttention:
     @FROZEN_OR_TAPED
     def test_single_frame_is_value_projection(self, taped):
@@ -245,10 +198,6 @@ class TestMultiHeadAttention:
         expected = np.array([[p, 1 - p], [1 - p, p]])
         np.testing.assert_allclose(out.data, expected,
                                    **(TAPED_TOL if taped else {"atol": 1e-12}))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_frozen_agrees_with_taped_on_encoder_shapes(self, seed):
-        _assert_frozen_agrees_with_taped(_mha4, MHA_SHAPES, seed)
 
     def test_head_mismatch(self):
         x = Tensor(np.zeros((2, 6)))
@@ -398,10 +347,6 @@ class TestFeedForward:
         with pytest.raises(ShapeError):
             feed_forward(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 8))),
                          Tensor(np.zeros(8)), Tensor(np.ones((8, 3))), Tensor(np.zeros(3)))
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_frozen_agrees_with_taped_on_encoder_shapes(self, seed):
-        _assert_frozen_agrees_with_taped(feed_forward, FFN_SHAPES, seed)
 
 
 def _zeros_like(x):
@@ -712,21 +657,25 @@ def _encoder_weights(rng, mel_bins=80, dim=128, ffn=256, window=3, layers=2):
 
 
 def _encoder_stack(mel, conv, stack, pe):
-    """The states [frames, dim] of the front end and of each layer, and
-    their frame means, for a log-mel Tensor [mel_bins, frames]."""
+    """The states [frames, dim] of the front end and of each layer, their
+    frame means, and each layer's attention and feed-forward outputs, for a
+    log-mel Tensor [mel_bins, frames]."""
     h = add(transpose(relu(conv1d(mel, *conv, stride=2)), (1, 0)), pe)
-    states = [h]
+    states, sublayers = [h], []
     for attn, ff, norms in stack:
-        h = layer_norm_residual(h, multi_head_attention(h, 4, *attn), *norms[:2])
-        h = layer_norm_residual(h, feed_forward(h, *ff), *norms[2:])
+        sublayers.append(multi_head_attention(h, 4, *attn))
+        h = layer_norm_residual(h, sublayers[-1], *norms[:2])
+        sublayers.append(feed_forward(h, *ff))
+        h = layer_norm_residual(h, sublayers[-1], *norms[2:])
         states.append(h)
-    return states, [tmean(s, 0) for s in states]
+    return states, [tmean(s, 0) for s in states], sublayers
 
 
 class TestFrozenEncoder:
     """A whole frozen encoder, from the conv front end to the last layer
     norm and the pooled stack, stays in float32 and agrees with its taped
-    float64 forward within the module's bound, layer by layer."""
+    float64 forward within the module's bound, layer by layer and at each
+    attention and feed-forward output, at the encoder's shapes."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_frozen_stack_agrees_with_taped(self, seed):
@@ -736,24 +685,12 @@ class TestFrozenEncoder:
         pe = positional_encoding(498, 128)
         frozen = _encoder_stack(Tensor(mel), conv, stack, pe)
         taped = _encoder_stack(Tensor(mel, requires_grad=True), conv, stack, pe)
+        assert [len(got_list) for got_list in frozen] == [3, 3, 4]
         for got_list, want_list in zip(frozen, taped):
-            assert len(got_list) == 3
             for got, want in zip(got_list, want_list):
                 assert got.data.dtype == np.float32 and got._node is None
                 assert want.data.dtype == np.float64 and want._node is not None
                 _assert_within_frozen_bound(got.data, want.data)
-
-    def test_frozen_tensor_into_taped_linear_is_promoted(self):
-        rng = np.random.default_rng(16)
-        x = relu(Tensor(rng.standard_normal((5, 4))))
-        assert x.data.dtype == np.float32
-        w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((4, 3), (3,)))
-        out = linear(x, w, b)
-        assert out.data.dtype == np.float64
-        r = rng.standard_normal((5, 3))
-        backward(project(out, r))
-        assert w.grad.dtype == np.float64 and b.grad.dtype == np.float64
-        assert np.array_equal(w.grad, x.data.astype(np.float64).T @ r)
 
 
 def _leaf(rng, *shape):
@@ -789,11 +726,26 @@ def _graph(out):
     return nodes, leaves
 
 
+def _frozen_dtype(row, dtype):
+    """The dtype of the row's op over operands of ``dtype`` when none
+    requires grad (tensor.py's module docstring): float32, but the
+    operands' own dtype for the ops that only move values, and float64 for
+    the loss."""
+    if row.function in ("reshape", "transpose", "stack"):
+        return dtype
+    return np.float64 if row.function == "softmax_cross_entropy" else np.float32
+
+
+def _float32(a):
+    """A float32 Tensor of ``a``: the frozen ``add`` of ``a`` and zeros."""
+    return add(Tensor(a), Tensor(np.zeros(a.shape)))
+
+
 class TestTapeContracts:
-    """What a recorded op's node keeps and what its ``grad_fn`` may do.  The
-    first three tests run over ``tape_ops.TAPE_OPS``, every operand
-    requiring grad, and check that it holds every recorded op; the rest
-    measure what the sublayers save."""
+    """What a recorded op's node keeps, what its ``grad_fn`` may do, and the
+    dtype rule of the frozen and the taped path.  The first test checks
+    that ``tape_ops.TAPE_OPS`` holds every recorded op, the next four run
+    over its rows, and the rest measure what the sublayers save."""
 
     def test_every_recorded_op_is_covered(self):
         recorded = {name for name, fn in inspect.getmembers(tensor, inspect.isfunction)
@@ -822,6 +774,47 @@ class TestTapeContracts:
         held = [type(o).__name__ for o in _closure_objects(out._node.grad_fn)
                 if isinstance(o, (Tensor, tensor._Node))]
         assert not held
+
+    @pytest.mark.parametrize("row", TAPE_OPS, ids=NAMES)
+    def test_frozen_forward_follows_the_dtype_rule(self, row):
+        """With no operand requiring grad, over float64 operands and over
+        float32 ones, the op records no node, returns the dtype of the
+        module docstring's rule, and agrees with the forward of every
+        operand requiring grad within FROZEN_BOUND of its largest
+        magnitude."""
+        for seed in range(5):
+            arrays = operands(row, np.random.default_rng(seed), 3)
+            taped = call(row, arrays, range(len(arrays))).data
+            for dtype, tensors in ((np.float64, [Tensor(a) for a in arrays]),
+                                   (np.float32, [_float32(a) for a in arrays])):
+                out = row.op(*tensors)
+                assert out._node is None and not out.requires_grad
+                assert out.data.dtype == _frozen_dtype(row, dtype), \
+                    f"seed {seed}, {dtype.__name__} operands: {out.data.dtype}"
+                _assert_within_frozen_bound(out.data, taped)
+
+    @pytest.mark.parametrize("row", TAPE_OPS, ids=NAMES)
+    def test_float32_operands_are_promoted_exactly(self, row):
+        """A recorded op promotes its float32 operands to float64 exactly.
+        Each operand in turn requires grad, holding float32-rounded values in
+        float64, and the others are float32 Tensors: the output, and that
+        operand's gradient, equal in dtype and bytes those of the call over
+        float64 Tensors of the same values with the same operand trained."""
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            arrays = [a.astype(np.float32).astype(np.float64) for a in operands(row, rng, 3)]
+            for i in range(len(arrays)):
+                mixed = [Tensor(a, requires_grad=True) if j == i else _float32(a)
+                         for j, a in enumerate(arrays)]
+                wide = [Tensor(a, requires_grad=j == i) for j, a in enumerate(arrays)]
+                got, want = row.op(*mixed), row.op(*wide)
+                assert (got.data.dtype, got.data.tobytes()) == \
+                    (want.data.dtype, want.data.tobytes()), f"seed {seed}, operand {i}"
+                r = rng.standard_normal(want.shape)
+                backward(project(got, r))
+                backward(project(want, r))
+                assert (mixed[i].grad.dtype, mixed[i].grad.tobytes()) == \
+                    (wide[i].grad.dtype, wide[i].grad.tobytes()), f"seed {seed}, operand {i}"
 
     def test_attention_tape_holds_no_frames_by_frames_node(self):
         """No closure of a multi-head attention graph saves an array as large
